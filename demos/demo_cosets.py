@@ -5,7 +5,7 @@ action tau_k, and the closed-form invariants (index, elliptic counts,
 cusps, genus) for a few levels.
 """
 
-from modsym import build_coset_table, subgroup_invariants
+from modsym import CosetTable, subgroup_invariants
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
               f"{inv.n_inf:>5} {inv.genus:>6}")
 
     N = 11
-    table = build_coset_table(N)
+    table = CosetTable(N)
     print(f"\nLevel {N}: {table.size} cosets named by P^1(Z/{N}) points (c:d):")
     print(" ", ", ".join(f"{e}=({c}:{d})" for e, (c, d) in enumerate(table.reps)))
 

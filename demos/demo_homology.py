@@ -7,12 +7,12 @@ exact rational class of every coset symbol.  All arithmetic is exact.
 
 from fractions import Fraction
 
-from modsym import build_coset_table, build_homology, symbol_class
+from modsym import CosetTable, build_homology, symbol_class
 
 
 def main():
     N = 11
-    table = build_coset_table(N)
+    table = CosetTable(N)
     data = build_homology(table)
     inv = table.invariants
 

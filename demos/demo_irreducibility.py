@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from modsym import (
     CFInput,
-    build_coset_table,
+    CosetTable,
     build_graph,
     check_finitely_irreducible,
     encode_orbit,
@@ -19,7 +19,7 @@ from modsym import (
 
 def main():
     for N in (2, 6, 11):
-        table = build_coset_table(N)
+        table = CosetTable(N)
         graph = build_graph(table)
         report = check_finitely_irreducible(graph)
         print(f"N={N}: {graph.num_vertices} vertices, "
@@ -27,7 +27,7 @@ def main():
               f"irreducible={report.irreducible}, diameter={report.diameter}")
 
     N = 11
-    table = build_coset_table(N)
+    table = CosetTable(N)
     report = check_finitely_irreducible(build_graph(table))
     print(f"\nWitness words at N={N} (smallest digits realizing each hop):")
     items = sorted(report.witnesses.items())

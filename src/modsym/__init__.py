@@ -22,8 +22,6 @@ from .cosets import (
     LevelZero,
     SubgroupInvariants,
     ZeroDigit,
-    build_coset_table,
-    default_cache_dir,
     subgroup_invariants,
 )
 from .homology import (
@@ -68,9 +66,11 @@ from .thermo import (
     BracketFailure,
     GibbsMoments,
     LevelData,
+    MomentCheckError,
     NoConvergence,
     NonHyperbolic,
     NumericsConfig,
+    OperatorTooLarge,
     PressureEstimate,
     beta_hessian,
     build_level_data,
@@ -81,6 +81,6 @@ from .thermo import (
     solve_beta,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

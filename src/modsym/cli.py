@@ -19,7 +19,7 @@ import numpy as np
 from . import homology as hom
 from . import shiftspace, spectrum, thermo
 from .contfrac import CFInput, SymbolSequence, encode_orbit
-from .cosets import build_coset_table, default_cache_dir, subgroup_invariants
+from .cosets import CosetTable, subgroup_invariants
 
 
 def _fmt(x) -> str:
@@ -103,10 +103,6 @@ def _config_from(args) -> thermo.NumericsConfig:
     return thermo.NumericsConfig(**kwargs)
 
 
-def _level_data(args) -> thermo.LevelData:
-    return thermo.build_level_data(args.level, cache_dir=args.cache_dir)
-
-
 def _cf_input(args) -> CFInput:
     if args.rational:
         return CFInput(rational=Fraction(args.rational))
@@ -133,7 +129,7 @@ def _decorated_word(table, digits: list[int], start: int) -> SymbolSequence:
 
 
 def _cmd_cosets(args):
-    table = build_coset_table(args.level, cache_dir=args.cache_dir)
+    table = CosetTable(args.level)
     return table.to_json_dict(), None
 
 
@@ -146,7 +142,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_graph(args):
-    table = build_coset_table(args.level, cache_dir=args.cache_dir)
+    table = CosetTable(args.level)
     graph = shiftspace.build_graph(table)
     edges = [
         [src, dst, digit]
@@ -162,7 +158,7 @@ def _cmd_graph(args):
 
 
 def _cmd_irreducible(args):
-    table = build_coset_table(args.level, cache_dir=args.cache_dir)
+    table = CosetTable(args.level)
     report = shiftspace.check_finitely_irreducible(shiftspace.build_graph(table))
     data = {
         "irreducible": report.irreducible,
@@ -175,7 +171,7 @@ def _cmd_irreducible(args):
 
 
 def _cmd_homology(args):
-    table = build_coset_table(args.level, cache_dir=args.cache_dir)
+    table = CosetTable(args.level)
     data = hom.build_homology(table)
     out = hom.classes_json(data)
     out["relativeDimension"] = data.presentation.dimension
@@ -184,7 +180,7 @@ def _cmd_homology(args):
 
 
 def _cmd_encode(args):
-    table = build_coset_table(args.level, cache_dir=args.cache_dir)
+    table = CosetTable(args.level)
     x = _cf_input(args)
     start = args.start if args.start is not None else table.identity_label()
     seq = encode_orbit(table, x, start, args.depth or 10)
@@ -197,7 +193,7 @@ def _cmd_encode(args):
 
 
 def _cmd_pressure(args):
-    level = _level_data(args)
+    level = thermo.build_level_data(args.level)
     cfg = _config_from(args)
     t = _parse_floats(args.t or "")
     out = {}
@@ -211,7 +207,7 @@ def _cmd_pressure(args):
 
 
 def _cmd_beta(args):
-    level = _level_data(args)
+    level = thermo.build_level_data(args.level)
     cfg = _config_from(args)
     t = _parse_floats(args.t or "")
     value = thermo.solve_beta(level, t, cfg)
@@ -219,7 +215,7 @@ def _cmd_beta(args):
 
 
 def _cmd_moments(args):
-    level = _level_data(args)
+    level = thermo.build_level_data(args.level)
     cfg = _config_from(args)
     mom = thermo.gibbs_moments(level, _parse_floats(args.t or ""), cfg)
     return {
@@ -247,7 +243,7 @@ def _spectrum_csv(points, cfg, two_g):
 
 
 def _cmd_spectrum(args):
-    level = _level_data(args)
+    level = thermo.build_level_data(args.level)
     cfg = _config_from(args)
     if args.alpha is not None:
         point = spectrum.legendre(level, _parse_floats(args.alpha), cfg)
@@ -281,7 +277,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_periodic_symbol(args):
-    level = _level_data(args)
+    level = thermo.build_level_data(args.level)
     digits = _parse_ints(args.digits)
     start = args.start if args.start is not None else level.table.identity_label()
     word = _decorated_word(level.table, digits, start)
@@ -318,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--level", type=int, required=True, metavar="N")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--cache-dir", default=None,
-                        help="coset-table cache directory "
-                        f"(default {default_cache_dir()}, env MODSYM_CACHE_DIR)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap on BLAS threads (best effort)")
 
     numerics = argparse.ArgumentParser(add_help=False)
     numerics.add_argument("--cutoff", type=int, default=None, metavar="K")
@@ -371,21 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads(k: int | None):
-    if k is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=k)
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(getattr(args, "threads", None))
     try:
         data, csv_rows = _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - contract: exit 1 with error record

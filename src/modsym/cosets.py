@@ -8,15 +8,10 @@ digit action tau_k and the classical numeric invariants of the level.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from math import gcd
-from pathlib import Path
 
 from .psl2 import MoebiusMatrix
-
-CACHE_ENV_VAR = "MODSYM_CACHE_DIR"
 
 
 class LevelZero(ValueError):
@@ -220,32 +215,3 @@ class CosetTable:
             "invariants": self.invariants.as_dict(),
         }
 
-
-def build_coset_table(N: int, cache_dir: str | os.PathLike | None = None) -> CosetTable:
-    """Build (or reload and verify) the coset table for level N.
-
-    The JSON cache is advisory: a cached file with a rep order differing
-    from the current enumeration is ignored and rewritten.
-    """
-    table = CosetTable(N)
-    if cache_dir is not None:
-        path = Path(cache_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        cache_file = path / f"cosets_{N}.json"
-        payload = table.to_json_dict()
-        if cache_file.exists():
-            try:
-                cached = json.loads(cache_file.read_text())
-            except json.JSONDecodeError:
-                cached = None
-            if cached == payload:
-                return table
-        cache_file.write_text(json.dumps(payload))
-    return table
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "modsym"

@@ -47,10 +47,6 @@ class ExtendedRational:
     def infinity(cls) -> "ExtendedRational":
         return cls(1, 0)
 
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "ExtendedRational":
-        return cls(q.numerator, q.denominator)
-
     def as_fraction(self) -> Fraction:
         if self.is_infinity:
             raise ZeroDivisionError("point at infinity has no finite value")
@@ -91,17 +87,11 @@ class MoebiusMatrix:
     def inverse(self) -> "MoebiusMatrix":
         return MoebiusMatrix(self.d, -self.b, -self.c, self.a)
 
-    def trace_abs(self) -> int:
-        return abs(self.a + self.d)
-
     def apply(self, x: ExtendedRational) -> ExtendedRational:
         """Projective action on P^1(Q); total, infinity handled projectively."""
         num = self.a * x.num + self.b * x.den
         den = self.c * x.num + self.d * x.den
         return ExtendedRational(num, den)
-
-    def bottom_row(self) -> tuple[int, int]:
-        return (self.c, self.d)
 
     def __str__(self):
         return f"[{self.a} {self.b}; {self.c} {self.d}]"
@@ -115,14 +105,6 @@ T = MoebiusMatrix(1, 1, 0, 1)
 def translation(k: int) -> MoebiusMatrix:
     """T^k as a matrix."""
     return MoebiusMatrix(1, k, 0, 1)
-
-
-def mul(m1: MoebiusMatrix, m2: MoebiusMatrix) -> MoebiusMatrix:
-    return m1 * m2
-
-
-def apply(m: MoebiusMatrix, x: ExtendedRational) -> ExtendedRational:
-    return m.apply(x)
 
 
 def st_power(k: int) -> MoebiusMatrix:

@@ -6,6 +6,11 @@ the action depends on k only through r and s, so the countable digit
 alphabet compresses to 2*kappa*N edge families.  Irreducibility of the
 shift space is exactly strong connectivity of this graph, and witness
 words certify it constructively.
+
+``TransitionGraph.edges`` is the one table of edge families: the
+transfer operator and the grid cylinder sums of ``thermo`` read it too,
+keying each family by the magnitude a0 = abs(digit) of its
+representative digit, the smallest magnitude in its digit class.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ class TransitionGraph:
     """Edge families of the decorated shift, indexed by vertex number.
 
     Vertex numbering: coset e with sign +1 is 2*e, with sign -1 is
-    2*e + 1.  ``edges[v]`` lists (target vertex, representative digit).
+    2*e + 1.  ``edges[v]`` lists (target vertex, representative digit)
+    in order of the residue r = 0..N-1; the representative is
+    ``smallest_digit(r, sign, N)``.
     """
 
     table: CosetTable

@@ -8,23 +8,28 @@ its leading eigenvalue gives the pressure.  The second one iterates
 finite-depth cylinder partition sums directly (exact enumeration with
 per-word hyperbolic traces when the word count is small, otherwise a
 uniform-grid function iteration) and serves as an independent
-cross-check.  The vertex graph is bipartite in the sign coordinate, so
-eigen-data is extracted from the squared operator.
+cross-check.  The collocation operator and the grid iteration both read
+their edge families from the level's ``shiftspace.TransitionGraph``.
+The vertex graph is bipartite in the sign coordinate, so eigen-data is
+extracted from the squared operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta as hurwitz_zeta
 
 from .contfrac import SignedWord
-from .cosets import CosetTable, build_coset_table
+from .cosets import CosetTable
 from .homology import HomologyData, build_homology
 from .psl2 import word_to_matrix
+from .shiftspace import TransitionGraph
 
 
 class BetaOutOfDomain(ValueError):
@@ -43,8 +48,12 @@ class NonHyperbolic(ValueError):
     """Periodic word whose matrix has |trace| <= 2."""
 
 
-class MomentCheckError(AssertionError):
+class MomentCheckError(RuntimeError):
     """Eigenvector moments disagree with finite differences of the pressure."""
+
+
+class OperatorTooLarge(MemoryError):
+    """The dense collocation matrices would not fit in physical memory."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,13 @@ class LevelData:
     def two_g(self) -> int:
         return self.j_values.shape[1]
 
+    @cached_property
+    def graph(self) -> TransitionGraph:
+        return TransitionGraph(self.table)
 
-def build_level_data(N: int, cache_dir=None) -> LevelData:
-    table = build_coset_table(N, cache_dir=cache_dir)
+
+def build_level_data(N: int) -> LevelData:
+    table = CosetTable(N)
     hom = build_homology(table)
     j = np.array(
         [[float(c) for c in vec] for vec in hom.classes], dtype=float
@@ -130,6 +143,11 @@ def _as_t_vector(level: LevelData, t) -> np.ndarray:
     if t.shape != (level.two_g,):
         raise ValueError(f"t must have length {level.two_g}, got shape {t.shape}")
     return t
+
+
+def _coset_scalars(level: LevelData, t: np.ndarray) -> np.ndarray:
+    """exp((t|J(e))) per coset e, the weight of every edge leaving coset e."""
+    return np.exp(level.j_values @ t) if level.two_g else np.ones(level.table.size)
 
 
 def hyperbolic_log_eigenvalue(trace: int) -> float:
@@ -214,19 +232,47 @@ def _zeta_sprime(s: float, q: np.ndarray) -> np.ndarray:
     return (hurwitz_zeta(s + h, q) - hurwitz_zeta(s - h, q)) / (2 * h)
 
 
+def _digit_class(a0: int, N: int, K: int, y: np.ndarray):
+    """Magnitudes a0, a0 + N, ... up to K of one digit class, and the
+    Hurwitz argument q = (a_first + y) / N of the class beyond K."""
+    mags = np.arange(a0, K + 1, N, dtype=float)
+    a_first = mags[-1] + N if mags.size else float(a0)
+    return mags, (a_first + y) / N
+
+
+def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.ndarray:
+    """Sum over a = a_first, a_first + N, ... of (a + y)^{-s}, or its
+    -d/dbeta (for s = 2 beta + j) when log weights are requested."""
+    if not with_log:
+        return N ** (-s) * hurwitz_zeta(s, q)
+    return 2 * math.log(N) * N ** (-s) * hurwitz_zeta(s, q) \
+        - 2 * N ** (-s) * _zeta_sprime(s, q)
+
+
 class TransferOperator:
     """Chebyshev-collocation discretization at one level.
 
     Functions live on vertex x node; vertex (e, +1) occupies block 2e
-    and (e, -1) block 2e+1.  Blocks of the matrix depend on the digit
-    class only through the smallest magnitude a0 of the class, so they
-    are shared across cosets.
+    and (e, -1) block 2e+1.  The edge families come from
+    ``level.graph``; the block of an edge depends on its digit class
+    only through the smallest magnitude a0 = abs(digit), so blocks are
+    shared across cosets.  Construction refuses, with
+    ``OperatorTooLarge``, a level whose dense L and L_log would not fit
+    in physical memory.
     """
 
     def __init__(self, level: LevelData, cfg: NumericsConfig):
+        m = cfg.collocation_degree
+        n = 2 * level.table.size * (m + 1)
+        need = 2 * 8 * n * n
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise OperatorTooLarge(
+                f"N={level.level}: L and L_log ({n}x{n} float64) need {need} bytes, "
+                f"physical memory is {have} bytes"
+            )
         self.level = level
         self.cfg = cfg
-        m = cfg.collocation_degree
         self.nodes = _lobatto_nodes(m)
         self.weights = _bary_weights(m)
         D = _diff_matrix(self.nodes, self.weights)
@@ -234,12 +280,6 @@ class TransferOperator:
         self.d0_2 = (D @ D)[0]
         self.e0 = np.zeros(m + 1)
         self.e0[0] = 1.0
-        N = level.level
-        # smallest magnitude per (residue, sign)
-        self.a0_for = {}
-        for r in range(N):
-            self.a0_for[(r, 1)] = r if r > 0 else N
-            self.a0_for[(r, -1)] = (N - r) if r > 0 else N
 
     @property
     def size(self) -> int:
@@ -254,7 +294,7 @@ class TransferOperator:
         npts = y.size
         blocks = {}
         for a0 in range(1, N + 1):
-            mags = np.arange(a0, K + 1, N, dtype=float)
+            mags, q = _digit_class(a0, N, K, y)
             B = np.zeros((npts, npts))
             if mags.size:
                 ay = mags[None, :] + y[:, None]          # (npts, na)
@@ -264,23 +304,12 @@ class TransferOperator:
                 R = _bary_rows(1.0 / ay, y, self.weights)  # (npts, na, npts)
                 B = np.einsum("ja,jal->jl", W, R)
             if cfg.tail_mode == "zeta-tail":
-                a_first = mags[-1] + N if mags.size else float(a0)
-                q = (a_first + y) / N
-
-                def tail(s):
-                    # sum over a = a_first, a_first + N, ... of (a + y)^{-s},
-                    # or its -d/dbeta when log weights are requested
-                    if not with_log:
-                        return N ** (-s) * hurwitz_zeta(s, q)
-                    return 2 * math.log(N) * N ** (-s) * hurwitz_zeta(s, q) \
-                        - 2 * N ** (-s) * _zeta_sprime(s, q)
-
                 # Taylor rows of the interpolant at the branch endpoint 0:
                 # f(u) ~ f(0) + u f'(0) + u^2 f''(0) / 2
                 s0 = 2.0 * beta
-                B = B + tail(s0)[:, None] * self.e0[None, :] \
-                    + tail(s0 + 1.0)[:, None] * self.d0[None, :] \
-                    + tail(s0 + 2.0)[:, None] * (self.d0_2[None, :] / 2.0)
+                B = B + _class_tail(s0, N, q, with_log)[:, None] * self.e0[None, :] \
+                    + _class_tail(s0 + 1.0, N, q, with_log)[:, None] * self.d0[None, :] \
+                    + _class_tail(s0 + 2.0, N, q, with_log)[:, None] * (self.d0_2[None, :] / 2.0)
             blocks[a0] = B
         return blocks
 
@@ -291,21 +320,12 @@ class TransferOperator:
         t = _as_t_vector(level, t)
         blocks = self._class_blocks(beta, with_log)
         npts = self.nodes.size
-        kappa = level.table.size
-        L = np.zeros((2 * kappa * npts, 2 * kappa * npts))
-        scalars = np.exp(level.j_values @ t) if level.two_g else np.ones(kappa)
-        for e in range(kappa):
-            w_e = scalars[e]
-            for r in range(level.level):
-                dst_coset = level.table.tau_row(r)[e]
-                for sign in (1, -1):
-                    src = 2 * e + (sign > 0)       # source vertex (e, -sign)
-                    dst = 2 * dst_coset + (sign < 0)
-                    a0 = self.a0_for[(r, sign)]
-                    L[
-                        dst * npts:(dst + 1) * npts,
-                        src * npts:(src + 1) * npts,
-                    ] += w_e * blocks[a0]
+        L = np.zeros((self.size, self.size))
+        scalars = _coset_scalars(level, t)
+        for src, row in enumerate(level.graph.edges):
+            cols = slice(src * npts, (src + 1) * npts)
+            for dst, digit in row:
+                L[dst * npts:(dst + 1) * npts, cols] += scalars[src // 2] * blocks[abs(digit)]
         return L
 
     def leading(self, L: np.ndarray):
@@ -416,19 +436,23 @@ def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None,
         mean_j[i] = float(nu @ (L @ (scale * h))) / denom
 
     if cfg.self_check:
-        _check_moments(level, t, beta, cfg, op, mean_j, mean_i)
+        _check_moments(level, t, beta, cfg, mean_j, mean_i)
 
     alpha = mean_j / mean_i
     return GibbsMoments(mean_j, mean_i, alpha, beta,
                         cfg.provenance("collocation-moments", beta=beta))
 
 
-def _check_moments(level, t, beta, cfg, op, mean_j, mean_i):
+def _check_moments(level, t, beta, cfg, mean_j, mean_i):
     h = cfg.fd_step
     tol = max(10 * cfg.tolerance, 1e-6)
+    # a central difference turns a stopping error eps of each pressure into
+    # eps / h in the derivative, so these pressures are solved to h * tol / 10
+    fd_cfg = replace(cfg, tolerance=min(cfg.tolerance, h * tol / 10))
+    fd_op = TransferOperator(level, fd_cfg)
 
     def P(tv, bv):
-        return pressure_collocation(level, tv, bv, cfg, _op=op).value
+        return pressure_collocation(level, tv, bv, fd_cfg, _op=fd_op).value
 
     dPdb = (P(t, beta + h) - P(t, beta - h)) / (2 * h)
     if abs(-dPdb - mean_i) > tol * max(1.0, mean_i):
@@ -486,73 +510,52 @@ def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
 def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     """Z_1..Z_n by depth-iterating cylinder sums on a uniform grid.
 
-    Tail evaluation happens at the branch endpoint (grid value 0); a
-    zeta tail with a linear interpolant correction is applied when the
+    The edge families come from ``level.graph``, each keyed by the
+    smallest magnitude a0 = abs(digit) of its digit class.  Tail
+    evaluation happens at the branch endpoint (grid value 0); a zeta
+    tail with a linear interpolant correction is applied when the
     configuration asks for it.
     """
     t = _as_t_vector(level, t)
-    table = level.table
-    N = table.level
+    N = level.level
     K = cfg.digit_cutoff
     G = cfg.grid_points
     y = np.linspace(0.0, 1.0, G)
     dy = y[1] - y[0]
-    scalars = np.exp(level.j_values @ t) if level.two_g else np.ones(table.size)
+    scalars = _coset_scalars(level, t)
 
-    # per smallest-magnitude class: interp indices/weights and branch weights
+    # per smallest-magnitude class: branch weights with interp indices and
+    # fractions, and the zeta-tail coefficients of f(0) and f'(0)
     per_a0 = {}
     for a0 in range(1, N + 1):
-        mags = np.arange(a0, K + 1, N, dtype=float)
+        mags, q = _digit_class(a0, N, K, y)
+        branch = tail = None
         if mags.size:
             ay = mags[:, None] + y[None, :]
-            W = ay ** (-2.0 * beta)
-            u = 1.0 / ay
-            pos = u / dy
+            pos = 1.0 / ay / dy
             idx = np.minimum(pos.astype(int), G - 2)
-            frac = pos - idx
-            per_a0[a0] = (W, idx, frac, mags)
-        else:
-            per_a0[a0] = (None, None, None, mags)
+            branch = (ay ** (-2.0 * beta), idx, pos - idx)
+        if cfg.tail_mode == "zeta-tail":
+            tail = (_class_tail(2.0 * beta, N, q), _class_tail(2.0 * beta + 1.0, N, q))
+        per_a0[a0] = (branch, tail)
 
-    def tail_coeffs(a0, mags):
-        if cfg.tail_mode != "zeta-tail":
-            return None
-        a_first = (mags[-1] + N) if mags.size else float(a0)
-        q = (a_first + y) / N
-        t0 = N ** (-2.0 * beta) * hurwitz_zeta(2.0 * beta, q)
-        t1 = N ** (-2.0 * beta - 1.0) * hurwitz_zeta(2.0 * beta + 1.0, q)
-        return t0, t1
-
-    tails = {a0: tail_coeffs(a0, per_a0[a0][3]) for a0 in per_a0}
-
-    a0_for = {}
-    for r in range(N):
-        a0_for[(r, 1)] = r if r > 0 else N
-        a0_for[(r, -1)] = (N - r) if r > 0 else N
-
-    num_v = 2 * table.size
-    F = np.ones((num_v, G))
+    edges = level.graph.edges
+    F = np.ones((len(edges), G))
     zs = []
     for _ in range(cfg.cylinder_depth):
         F_new = np.zeros_like(F)
-        for e in range(table.size):
-            for r in range(N):
-                dst_coset = table.tau_row(r)[e]
-                for sign in (1, -1):
-                    src = 2 * e + (sign > 0)
-                    dst = 2 * dst_coset + (sign < 0)
-                    a0 = a0_for[(r, sign)]
-                    W, idx, frac, mags = per_a0[a0]
-                    contrib = np.zeros(G)
-                    if W is not None:
-                        f_interp = F[src][idx] * (1 - frac) + F[src][idx + 1] * frac
-                        contrib += (W * f_interp).sum(axis=0)
-                    if tails[a0] is not None:
-                        t0, t1 = tails[a0]
-                        f0 = F[src][0]
-                        fp0 = (F[src][1] - F[src][0]) / dy
-                        contrib += t0 * f0 + t1 * fp0
-                    F_new[dst] += scalars[e] * contrib
+        for src, row in enumerate(edges):
+            f = F[src]
+            for dst, digit in row:
+                branch, tail = per_a0[abs(digit)]
+                contrib = np.zeros(G)
+                if branch is not None:
+                    W, idx, frac = branch
+                    contrib += (W * (f[idx] * (1 - frac) + f[idx + 1] * frac)).sum(axis=0)
+                if tail is not None:
+                    t0, t1 = tail
+                    contrib += t0 * f[0] + t1 * ((f[1] - f[0]) / dy)
+                F_new[dst] += scalars[src // 2] * contrib
         F = F_new
         zs.append(float(F[:, 0].sum()))
     return zs

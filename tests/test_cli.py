@@ -149,8 +149,3 @@ def test_csv_significant_digits(capsys):
     value = rows["beta"]
     mantissa = value.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) <= 12
-
-
-def test_cache_dir_flag(capsys, tmp_path):
-    run_json(capsys, "cosets", "--level", "7", "--cache-dir", str(tmp_path))
-    assert (tmp_path / "cosets_7.json").exists()

@@ -1,4 +1,3 @@
-import json
 from math import gcd
 
 import pytest
@@ -9,7 +8,6 @@ from modsym.cosets import (
     CosetTable,
     LevelZero,
     ZeroDigit,
-    build_coset_table,
     subgroup_invariants,
 )
 from modsym.psl2 import MoebiusMatrix, S, translation
@@ -136,20 +134,3 @@ def test_coset_well_defined_under_gamma0():
         lift = lift_to_sl2(*table.reps[e], N)
         for g in gammas:
             assert table.coset_of(g * lift) == e
-
-
-def test_json_cache_roundtrip(tmp_path):
-    t1 = build_coset_table(15, cache_dir=tmp_path)
-    cache = tmp_path / "cosets_15.json"
-    assert cache.exists()
-    payload = json.loads(cache.read_text())
-    assert payload["N"] == 15
-    assert [tuple(r) for r in payload["reps"]] == t1.reps
-    # reload hits the cache and agrees
-    t2 = build_coset_table(15, cache_dir=tmp_path)
-    assert t2.reps == t1.reps
-    # corrupt cache is ignored and rewritten
-    cache.write_text("{broken")
-    t3 = build_coset_table(15, cache_dir=tmp_path)
-    assert t3.reps == t1.reps
-    assert json.loads(cache.read_text()) == payload

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import modsym
+from modsym import build_level_data
 from modsym.contfrac import SignedWord
 from modsym.thermo import (
     BetaOutOfDomain,
     BracketFailure,
+    MomentCheckError,
     NonHyperbolic,
     NumericsConfig,
+    OperatorTooLarge,
     TransferOperator,
     gibbs_moments,
     hyperbolic_log_eigenvalue,
@@ -97,6 +101,34 @@ def test_collocation_matches_gkw_eigenfunction(level1, cfg):
     assert np.abs(out - vec).max() < 1e-6
 
 
+def test_edge_classes_partition_the_digits(level1, cfg):
+    """Each vertex's outgoing blocks sum to the N=1 block of its sign.
+
+    The classes a0 = 1..N of one source vertex partition the digit
+    magnitudes and their zeta tails, so at t = 0 the column of blocks
+    under a source vertex sums to the single Gauss block.  A dropped,
+    duplicated or misclassed edge family breaks the sum.
+    """
+    n = cfg.collocation_degree + 1
+    ref = TransferOperator(level1, cfg).assemble([], 1.0)
+    ref_blocks = [ref[:, v * n:(v + 1) * n].reshape(2, n, n).sum(axis=0) for v in (0, 1)]
+    for N in (2, 6, 11):
+        level = build_level_data(N)
+        L = TransferOperator(level, cfg).assemble(np.zeros(level.two_g), 1.0)
+        num_v = L.shape[0] // n
+        assert num_v == level.graph.num_vertices
+        for v in range(num_v):
+            out = L[:, v * n:(v + 1) * n].reshape(num_v, n, n).sum(axis=0)
+            expect = ref_blocks[v % 2]
+            assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max(), (N, v)
+
+
+def test_operator_too_large_refused_before_allocating(level1):
+    with pytest.raises(OperatorTooLarge, match=r"N=1: .*2000002x2000002"):
+        TransferOperator(level1, NumericsConfig(collocation_degree=10**6))
+    assert issubclass(modsym.OperatorTooLarge, MemoryError)
+
+
 def test_discretization_stability(level11):
     """Collocation value stable under m -> m+8 and K -> 2K."""
     base = NumericsConfig(digit_cutoff=200, collocation_degree=24)
@@ -160,6 +192,17 @@ def test_moments_match_beta_gradient(level11, cfg):
         e[i] = h
         grad = (solve_beta(level11, t + e, cfg) - solve_beta(level11, t - e, cfg)) / (2 * h)
         assert abs(grad - mom.alpha[i]) < 1e-3
+
+
+def test_moment_check_at_known_failing_point(level11):
+    """The default self-check once raised here on correct moments: its
+    pressures stopped at the 1e-8 tolerance, which the step-1e-4 central
+    difference amplified beyond the 1e-6 check."""
+    t = (-0.11925892693418495, -0.058193400617569106)
+    mom = gibbs_moments(level11, t)
+    assert np.abs(mom.alpha).max() < 0.1
+    assert issubclass(modsym.MomentCheckError, RuntimeError)
+    assert MomentCheckError is modsym.MomentCheckError
 
 
 def test_cylinder_hand_example(level1):
