@@ -43,7 +43,6 @@ from .psl2 import (
 from .shiftspace import (
     IrreducibilityReport,
     TransitionGraph,
-    VertexState,
     build_graph,
     check_finitely_irreducible,
     is_admissible,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import homology as hom
 from . import shiftspace, spectrum, thermo
-from .contfrac import CFInput, SymbolSequence, encode_orbit
+from .contfrac import CFInput, SymbolSequence, decorate, encode_orbit
 from .cosets import CosetTable, subgroup_invariants
 
 
@@ -113,15 +113,6 @@ def _cf_input(args) -> CFInput:
         preperiod=tuple(_parse_ints(args.preperiod or "")),
         period=tuple(_parse_ints(args.period)),
     )
-
-
-def _decorated_word(table, digits: list[int], start: int) -> SymbolSequence:
-    entries = []
-    e = start
-    for d in digits:
-        entries.append((d, e))
-        e = table.tau(d, e)
-    return SymbolSequence(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,7 @@ def _cmd_periodic_symbol(args):
     level = thermo.build_level_data(args.level)
     digits = _parse_ints(args.digits)
     start = args.start if args.start is not None else level.table.identity_label()
-    word = _decorated_word(level.table, digits, start)
+    word = SymbolSequence(decorate(level.table, digits, start))
     val = spectrum.limiting_symbol_periodic(level, word)
     return {
         "word": [[d, e] for d, e in word.entries],

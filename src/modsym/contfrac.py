@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cosets import CosetTable
 
@@ -165,18 +165,23 @@ def expand(x: CFInput, n: int) -> SignedWord:
     return SignedWord(tuple(digits))
 
 
-def encode_orbit(table: CosetTable, x: CFInput, e1: int, n: int) -> SymbolSequence:
-    """Coset-decorated orbit prefix (x_k, e_k), e_{k+1} = tau_{x_k}(e_k)."""
+def decorate(table: CosetTable, digits: Iterable[int], e1: int) -> tuple[tuple[int, int], ...]:
+    """Entries (d_k, e_k) of a digit word from coset e1, e_{k+1} = tau_{d_k}(e_k)."""
     if not 0 <= e1 < table.size:
         raise ValueError(f"coset label {e1} out of range for level {table.level}")
-    word = expand(x, n)
     entries = []
     e = e1
-    for d in word.digits:
+    for d in digits:
         entries.append((d, e))
         e = table.tau(d, e)
+    return tuple(entries)
+
+
+def encode_orbit(table: CosetTable, x: CFInput, e1: int, n: int) -> SymbolSequence:
+    """Coset-decorated orbit prefix (x_k, e_k), e_{k+1} = tau_{x_k}(e_k)."""
+    word = expand(x, n)
     terminated = x.is_rational and len(word) < n
-    return SymbolSequence(tuple(entries), terminated=terminated)
+    return SymbolSequence(decorate(table, word.digits, e1), terminated=terminated)
 
 
 def periodic_point_quadratic(period: tuple[int, ...]) -> tuple[int, int, int]:

@@ -22,16 +22,6 @@ from .contfrac import SymbolSequence
 from .cosets import CosetTable
 
 
-@dataclass(frozen=True)
-class VertexState:
-    coset: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
 def smallest_digit(residue: int, sign: int, N: int) -> int:
     """Smallest-magnitude digit of the given sign congruent to residue mod N."""
     r = residue % N
@@ -70,10 +60,6 @@ class TransitionGraph:
     @staticmethod
     def vertex_index(coset: int, sign: int) -> int:
         return 2 * coset + (sign < 0)
-
-    @staticmethod
-    def vertex_state(index: int) -> VertexState:
-        return VertexState(index // 2, -1 if index % 2 else 1)
 
     @property
     def num_vertices(self) -> int:
@@ -172,12 +158,11 @@ class IrreducibilityReport:
     def witness_json(self, table: CosetTable) -> list[dict]:
         out = []
         for (src, dst), word in sorted(self.witnesses.items()):
-            sc, ss = TransitionGraph.vertex_state(src).coset, TransitionGraph.vertex_state(src).sign
-            tc, ts = TransitionGraph.vertex_state(dst).coset, TransitionGraph.vertex_state(dst).sign
+            # vertex v is coset v // 2 with sign +1 when v is even
             out.append(
                 {
-                    "from": [*table.reps[sc], ss],
-                    "to": [*table.reps[tc], ts],
+                    "from": [*table.reps[src // 2], -1 if src % 2 else 1],
+                    "to": [*table.reps[dst // 2], -1 if dst % 2 else 1],
                     "word": [[d, *table.reps[e]] for d, e in word.entries],
                 }
             )

@@ -22,14 +22,19 @@ from .psl2 import convergents
 from .thermo import (
     BetaOutOfDomain,
     BracketFailure,
-    GibbsMoments,
-    NoConvergence,
     LevelData,
+    MomentCheckError,
+    NoConvergence,
     NumericsConfig,
     _as_t_vector,
+    beta_hessian,
     gibbs_moments,
     potential_I_on_cylinder,
 )
+
+# Failures of the numerics at one t: a sweep records them per point and
+# Newton damps its step on them; anything else is a caller's error.
+NUMERIC_FAILURES = (BetaOutOfDomain, BracketFailure, NoConvergence, MomentCheckError)
 
 
 class AlphaOutOfRange(ValueError):
@@ -62,10 +67,9 @@ class PeriodicSymbolValue:
     value: np.ndarray
 
 
-def spectrum_point(level: LevelData, t, cfg: NumericsConfig | None = None,
-                   moments: GibbsMoments | None = None) -> SpectrumPoint:
+def spectrum_point(level: LevelData, t, cfg: NumericsConfig | None = None) -> SpectrumPoint:
     t = _as_t_vector(level, t)
-    mom = moments or gibbs_moments(level, t, cfg)
+    mom = gibbs_moments(level, t, cfg)
     dim = mom.beta - float(t @ mom.alpha)
     return SpectrumPoint(t, mom.alpha, mom.beta, dim)
 
@@ -73,28 +77,31 @@ def spectrum_point(level: LevelData, t, cfg: NumericsConfig | None = None,
 def spectrum_curve(level: LevelData, t_grid, cfg: NumericsConfig | None = None):
     """Spectrum samples over a sequence of t vectors.
 
-    Per-node failures are collected instead of aborting the sweep;
-    returns (points, errors) with errors keyed by grid position.
+    Numeric failures (``NUMERIC_FAILURES``) at a node are collected
+    instead of aborting the sweep; returns (points, errors) with errors
+    keyed by grid position.  Any other exception, such as a t of the
+    wrong length, propagates.
     """
     points: list[SpectrumPoint] = []
     errors: dict[int, Exception] = {}
     for i, t in enumerate(t_grid):
         try:
             points.append(spectrum_point(level, t, cfg))
-        except Exception as exc:  # noqa: BLE001 - partial results by contract
+        except NUMERIC_FAILURES as exc:
             errors[i] = exc
     return points, errors
 
 
 def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
-             tol: float = 1e-6, max_iter: int = 40,
-             t_bound: float = 25.0) -> SpectrumPoint:
+             max_iter: int = 40) -> SpectrumPoint:
     """Spectrum value at a prescribed alpha, by Newton on alpha(t) = alpha.
 
-    The Jacobian of alpha(t) is the rescaled Hessian of beta_G, positive
-    definite in the interior of the spectrum, so Newton steps with step
-    halving converge from t = 0 for attainable targets.
+    Since alpha = grad beta_G, the Jacobian of alpha(t) is the Hessian of
+    beta_G, positive definite in the interior of the spectrum, so Newton
+    steps with step halving converge from t = 0 for attainable targets.
     """
+    tol = 1e-6
+    t_bound = 25.0
     cfg = cfg or NumericsConfig()
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (level.two_g,):
@@ -104,21 +111,13 @@ def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
     if level.two_g == 0:
         return SpectrumPoint(t, mom.alpha, mom.beta, mom.beta)
 
-    fd = 1e-3
     resid = mom.alpha - alpha
     for _ in range(max_iter):
         if np.abs(resid).max() <= tol:
             dim = mom.beta - float(t @ alpha)
             return SpectrumPoint(t, mom.alpha, mom.beta, dim)
-        jac = np.zeros((level.two_g, level.two_g))
-        for i in range(level.two_g):
-            ei = np.zeros(level.two_g)
-            ei[i] = fd
-            ap = gibbs_moments(level, t + ei, cfg).alpha
-            am = gibbs_moments(level, t - ei, cfg).alpha
-            jac[:, i] = (ap - am) / (2 * fd)
         try:
-            delta = np.linalg.solve(jac, -resid)
+            delta = np.linalg.solve(beta_hessian(level, t, cfg), -resid)
         except np.linalg.LinAlgError as exc:
             raise AlphaOutOfRange(f"degenerate alpha Jacobian at t={t}") from exc
         lam = 1.0
@@ -130,7 +129,7 @@ def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
                 continue
             try:
                 mom_new = gibbs_moments(level, t_new, cfg)
-            except (BracketFailure, NoConvergence, BetaOutOfDomain):
+            except NUMERIC_FAILURES:
                 # stepped outside the numerically tractable region: damp
                 lam /= 2.0
                 continue

@@ -56,6 +56,9 @@ class OperatorTooLarge(MemoryError):
     """The dense collocation matrices would not fit in physical memory."""
 
 
+ENUM_LIMIT = 2_000_000  # word-count bound for exact cylinder enumeration
+
+
 @dataclass(frozen=True)
 class NumericsConfig:
     digit_cutoff: int = 200          # K: largest digit magnitude summed explicitly
@@ -63,12 +66,8 @@ class NumericsConfig:
     tolerance: float = 1e-8
     cylinder_depth: int = 10         # n: depth of cylinder partition sums
     tail_mode: str = "zeta-tail"     # or "truncate"
-    grid_points: int = 1025          # uniform grid of the cylinder estimator
-    enum_limit: int = 2_000_000      # word-count bound for exact enumeration
     beta_min: float = 0.52
     beta_max: float = 8.0
-    fd_step: float = 1e-4
-    self_check: bool = True
 
     def __post_init__(self):
         if self.digit_cutoff < 1 or self.collocation_degree < 2:
@@ -280,6 +279,8 @@ class TransferOperator:
         self.d0_2 = (D @ D)[0]
         self.e0 = np.zeros(m + 1)
         self.e0[0] = 1.0
+        # sign-class mask: nodes of the +1 vertices 2e
+        self.plus_mask = np.repeat(np.arange(2 * level.table.size) % 2 == 0, m + 1)
 
     @property
     def size(self) -> int:
@@ -328,45 +329,35 @@ class TransferOperator:
                 L[dst * npts:(dst + 1) * npts, cols] += scalars[src // 2] * blocks[abs(digit)]
         return L
 
-    def leading(self, L: np.ndarray):
-        """Perron data (lam, right h, left nu) of the bipartite operator.
+    def leading(self, M: np.ndarray):
+        """Perron root lam and positive eigenvector h of M, which is L or,
+        for the left vector, L.T.
 
-        Works on L^2, which is block diagonal over the two sign classes,
-        then lifts a one-class Perron vector back to an eigenvector of L.
+        Works on M^2, which is block diagonal over the two sign classes,
+        then lifts a one-class Perron vector back to an eigenvector of M.
         """
-        cfg = self.cfg
-        n = L.shape[0]
-        npts = self.nodes.size
-        # sign-class masks: vertex 2e (+1) blocks vs 2e+1 (-1) blocks
-        plus_mask = np.zeros(n, dtype=bool)
-        for v in range(n // npts):
-            if v % 2 == 0:
-                plus_mask[v * npts:(v + 1) * npts] = True
-
-        def square_perron(M):
-            v = np.ones(n)
-            lam2_old = 0.0
-            for _ in range(5000):
-                w = M @ (M @ v)
-                nrm = w.max()
-                if nrm <= 0 or not np.isfinite(nrm):
-                    raise NoConvergence("iteration lost positivity")
-                w /= nrm
-                lam2 = nrm
-                if abs(lam2 - lam2_old) <= cfg.tolerance * max(lam2, 1e-300) \
-                        and np.abs(w - v).max() <= 100 * cfg.tolerance:
-                    return lam2, w
-                lam2_old, v = lam2, w
-            raise NoConvergence("power iteration cap reached")
-
-        lam2, v = square_perron(L)
+        lam2, v = _square_perron(M, self.cfg.tolerance)
         lam = math.sqrt(lam2)
-        v_plus = np.where(plus_mask, v, 0.0)
-        h = v_plus + (L @ v_plus) / lam
-        u2, u = square_perron(L.T)
-        u_plus = np.where(plus_mask, u, 0.0)
-        nu = u_plus + (L.T @ u_plus) / lam
-        return lam, h, nu
+        v_plus = np.where(self.plus_mask, v, 0.0)
+        return lam, v_plus + (M @ v_plus) / lam
+
+
+def _square_perron(M: np.ndarray, tol: float):
+    """Power iteration on M^2: its leading eigenvalue and max-normalized vector."""
+    v = np.ones(M.shape[0])
+    lam2_old = 0.0
+    for _ in range(5000):
+        w = M @ (M @ v)
+        nrm = w.max()
+        if nrm <= 0 or not np.isfinite(nrm):
+            raise NoConvergence("iteration lost positivity")
+        w /= nrm
+        lam2 = nrm
+        if abs(lam2 - lam2_old) <= tol * max(lam2, 1e-300) \
+                and np.abs(w - v).max() <= 100 * tol:
+            return lam2, w
+        lam2_old, v = lam2, w
+    raise NoConvergence("power iteration cap reached")
 
 
 def pressure_collocation(level: LevelData, t, beta: float,
@@ -376,7 +367,7 @@ def pressure_collocation(level: LevelData, t, beta: float,
     cfg = cfg or NumericsConfig()
     op = _op or TransferOperator(level, cfg)
     L = op.assemble(t, beta)
-    lam, _, _ = op.leading(L)
+    lam, _ = op.leading(L)
     return PressureEstimate(math.log(lam), cfg.provenance("collocation", beta=beta))
 
 
@@ -407,21 +398,20 @@ def solve_beta(level: LevelData, t, cfg: NumericsConfig | None = None) -> float:
     return float(root)
 
 
-def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None,
-                  beta: float | None = None) -> GibbsMoments:
+def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None) -> GibbsMoments:
     """Stationary averages of the two potentials at (t, beta_G(t)).
 
     Computed from left/right Perron vectors by first-order perturbation
-    of the leading eigenvalue; when ``self_check`` is on, the same
-    quantities are recomputed as finite differences of the pressure.
+    of the leading eigenvalue, then checked against finite differences
+    of the pressure (``MomentCheckError`` when they disagree).
     """
     cfg = cfg or NumericsConfig()
     t = _as_t_vector(level, t)
-    if beta is None:
-        beta = solve_beta(level, t, cfg)
+    beta = solve_beta(level, t, cfg)
     op = TransferOperator(level, cfg)
     L = op.assemble(t, beta)
-    lam, h, nu = op.leading(L)
+    lam, h = op.leading(L)
+    _, nu = op.leading(L.T)
     denom = lam * float(nu @ h)
 
     L_log = op.assemble(t, beta, with_log=True)
@@ -435,8 +425,7 @@ def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None,
         scale = np.repeat(np.repeat(level.j_values[:, i], 2), npts)
         mean_j[i] = float(nu @ (L @ (scale * h))) / denom
 
-    if cfg.self_check:
-        _check_moments(level, t, beta, cfg, mean_j, mean_i)
+    _check_moments(level, t, beta, cfg, mean_j, mean_i)
 
     alpha = mean_j / mean_i
     return GibbsMoments(mean_j, mean_i, alpha, beta,
@@ -444,7 +433,7 @@ def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None,
 
 
 def _check_moments(level, t, beta, cfg, mean_j, mean_i):
-    h = cfg.fd_step
+    h = 1e-4
     tol = max(10 * cfg.tolerance, 1e-6)
     # a central difference turns a stopping error eps of each pressure into
     # eps / h in the derivative, so these pressures are solved to h * tol / 10
@@ -519,7 +508,7 @@ def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     t = _as_t_vector(level, t)
     N = level.level
     K = cfg.digit_cutoff
-    G = cfg.grid_points
+    G = 1025  # uniform grid points
     y = np.linspace(0.0, 1.0, G)
     dy = y[1] - y[0]
     scalars = _coset_scalars(level, t)
@@ -579,9 +568,9 @@ def pressure_cylinder(level: LevelData, t, beta: float,
     n = cfg.cylinder_depth
     word_count = 2 * level.table.size * cfg.digit_cutoff ** n
     if mode == "auto":
-        mode = "enumerate" if word_count <= cfg.enum_limit else "grid"
+        mode = "enumerate" if word_count <= ENUM_LIMIT else "grid"
     if mode == "enumerate":
-        if word_count > 50 * cfg.enum_limit:
+        if word_count > 50 * ENUM_LIMIT:
             raise ValueError(f"enumeration of ~{word_count} words refused")
         zs = _enumerate_partition_sums(level, t, beta, cfg)
     elif mode == "grid":
@@ -595,12 +584,12 @@ def pressure_cylinder(level: LevelData, t, beta: float,
     return PressureEstimate(value, prov)
 
 
-def beta_hessian(level: LevelData, t, cfg: NumericsConfig | None = None,
-                 step: float = 2e-3) -> np.ndarray:
+def beta_hessian(level: LevelData, t, cfg: NumericsConfig | None = None) -> np.ndarray:
     """Finite-difference Hessian of beta_G: central differences of alpha(t)."""
     cfg = cfg or NumericsConfig()
     t = _as_t_vector(level, t)
     d = level.two_g
+    step = 2e-3
     H = np.zeros((d, d))
     for i in range(d):
         ei = np.zeros(d)

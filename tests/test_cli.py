@@ -124,6 +124,24 @@ def test_error_record_exit_1(capsys):
     assert rec["error"] == "LevelZero" and "detail" in rec
 
 
+def test_spectrum_wrong_direction_length_exit_1(capsys):
+    code, out = run(
+        capsys, "spectrum", "--level", "11", "--grid=-0.1:0.1:2", "--direction=1"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_periodic_symbol_bad_start_exit_1(capsys):
+    code, out = run(
+        capsys, "periodic-symbol", "--level", "11", "--digits=-1,1", "--start", "99"
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError", "detail": "coset label 99 out of range for level 11"
+    }
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants"])  # missing --level

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modsym.contfrac import CFInput, SymbolSequence
+from modsym import spectrum
 from modsym.psl2 import word_to_matrix
 from modsym.spectrum import (
     AlphaOutOfRange,
@@ -19,7 +20,7 @@ from modsym.spectrum import (
     spectrum_curve,
     spectrum_point,
 )
-from modsym.thermo import NumericsConfig, gibbs_moments
+from modsym.thermo import MomentCheckError, NumericsConfig, gibbs_moments
 
 
 def rotate(word: SymbolSequence, i: int) -> SymbolSequence:
@@ -144,6 +145,11 @@ def test_spectrum_curve_partial_results(level11, cfg):
     assert list(errors) == [2]
 
 
+def test_spectrum_curve_raises_on_wrong_length_t(level11, cfg):
+    with pytest.raises(ValueError, match="t must have length 2"):
+        spectrum_curve(level11, [np.array([0.1])], cfg)
+
+
 def test_spectrum_symmetry_pairs(level11, cfg):
     """alpha(t) - alpha(-t) is aligned with t (monotone gradient of convex fn)."""
     for t in (np.array([0.08, 0.0]), np.array([0.03, -0.06])):
@@ -171,6 +177,24 @@ def test_legendre_out_of_range(level11):
     fast = NumericsConfig(digit_cutoff=80, collocation_degree=16)
     with pytest.raises(AlphaOutOfRange):
         legendre(level11, [50.0, -50.0], fast, max_iter=12)
+
+
+def test_legendre_damps_on_moment_check_error(level11, monkeypatch):
+    """A full Newton step whose moments fail their self-check is halved."""
+    fast = NumericsConfig(digit_cutoff=80, collocation_degree=16)
+    calls = []
+
+    def flaky_moments(level, t, cfg=None):
+        calls.append(np.array(t))
+        if len(calls) == 2:  # the first trial step, after the moments at t = 0
+            raise MomentCheckError("injected")
+        return gibbs_moments(level, t, cfg)
+
+    monkeypatch.setattr(spectrum, "gibbs_moments", flaky_moments)
+    target = np.array([0.01, 0.005])
+    pt = legendre(level11, target, fast)
+    assert np.abs(pt.alpha - target).max() <= 1e-6
+    assert np.allclose(calls[2], calls[1] / 2)  # the step after it is halved
 
 
 def test_legendre_level1(level1, cfg):

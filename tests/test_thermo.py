@@ -123,6 +123,23 @@ def test_edge_classes_partition_the_digits(level1, cfg):
             assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max(), (N, v)
 
 
+@pytest.mark.parametrize("N", [1, 2, 11])
+def test_leading_right_and_left_perron_vectors(N, cfg):
+    """leading(L) and leading(L.T) each return a positive eigenvector of
+    their matrix, with Perron roots that agree."""
+    level = build_level_data(N)
+    op = TransferOperator(level, cfg)
+    t = np.full(level.two_g, 0.05)
+    L = op.assemble(t, 1.0)
+    roots = []
+    for M in (L, L.T):
+        lam, h = op.leading(M)
+        assert (h > 0).all()
+        assert np.abs(M @ h - lam * h).max() <= 10 * cfg.tolerance * np.abs(h).max()
+        roots.append(lam)
+    assert abs(roots[0] - roots[1]) <= cfg.tolerance
+
+
 def test_operator_too_large_refused_before_allocating(level1):
     with pytest.raises(OperatorTooLarge, match=r"N=1: .*2000002x2000002"):
         TransferOperator(level1, NumericsConfig(collocation_degree=10**6))
