@@ -157,7 +157,7 @@ def _cmd_irreducible(args):
         "diameter": report.diameter,
     }
     if args.witnesses and report.irreducible:
-        data["witnesses"] = report.witness_json(table)
+        data["witnesses"] = report.witness_json()
     return data, None
 
 
@@ -245,9 +245,9 @@ def _cmd_spectrum(args):
         if args.direction:
             direction = np.array(_parse_floats(args.direction))
         else:
-            direction = np.zeros(max(level.two_g, 1))
-            direction[0] = 1.0
-        grid = [s * direction[: level.two_g] for s in np.linspace(lo, hi, count)]
+            direction = np.zeros(level.two_g)
+            direction[:1] = 1.0
+        grid = [s * direction for s in np.linspace(lo, hi, count)]
         points, errors = spectrum.spectrum_curve(level, grid, cfg)
         if errors:
             print(

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .contfrac import SymbolSequence
 from .cosets import CosetTable
@@ -82,53 +85,32 @@ def build_graph(table: CosetTable) -> TransitionGraph:
     return TransitionGraph(table)
 
 
-def strongly_connected_components(edges: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to dodge recursion limits."""
+def _reachability(edges: list[list[tuple[int, int]]]) -> tuple[np.ndarray, int]:
+    """Boolean reachability matrix R and the number of steps that grew it.
+
+    R[v, w] says w is reachable from v in zero or more steps.  Starting
+    from the identity, each step adds the one-edge successors of every
+    reached set with a BLAS matmul, until R stops growing; when R is all
+    true the step count is the diameter, with d(v, v) = 0.
+    """
     n = len(edges)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(edges[v]):
-                w = edges[v][ei][0]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
+    A = np.zeros((n, n), dtype=np.float32)
+    for v, row in enumerate(edges):
+        A[v, [w for w, _ in row]] = 1.0
+    R = np.eye(n, dtype=bool)
+    steps = 0
+    while True:
+        grown = R | (R.astype(np.float32) @ A > 0)
+        if np.array_equal(grown, R):
+            return R, steps
+        R = grown
+        steps += 1
+
+
+def strongly_connected_components(edges: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Vertex sets of mutual reachability, one distinct row of R and R^T each."""
+    R, _ = _reachability(edges)
+    return [np.flatnonzero(row).tolist() for row in np.unique(R & R.T, axis=0)]
 
 
 def _bfs_paths(graph: TransitionGraph, source: int) -> list[list[tuple[int, int]] | None]:
@@ -151,43 +133,49 @@ def _bfs_paths(graph: TransitionGraph, source: int) -> list[list[tuple[int, int]
 @dataclass
 class IrreducibilityReport:
     irreducible: bool
-    witnesses: dict[tuple[int, int], SymbolSequence]
     diameter: int
     num_components: int
+    graph: TransitionGraph
 
-    def witness_json(self, table: CosetTable) -> list[dict]:
+    @cached_property
+    def witnesses(self) -> dict[tuple[int, int], SymbolSequence]:
+        """Shortest witness word per vertex pair, built by BFS on first read.
+
+        Witness digits are the smallest magnitude realizing each residue
+        class, so certificates are deterministic and as short as BFS
+        allows.  Empty when the graph is reducible.
+        """
+        if not self.irreducible:
+            return {}
+        witnesses: dict[tuple[int, int], SymbolSequence] = {}
+        for src in range(self.graph.num_vertices):
+            for dst, path in enumerate(_bfs_paths(self.graph, src)):
+                if path is None:
+                    raise AssertionError("reachability said connected but BFS disagreed")
+                witnesses[(src, dst)] = SymbolSequence(tuple(path))
+        return witnesses
+
+    def witness_json(self) -> list[dict]:
+        reps = self.graph.table.reps
         out = []
         for (src, dst), word in sorted(self.witnesses.items()):
             # vertex v is coset v // 2 with sign +1 when v is even
             out.append(
                 {
-                    "from": [*table.reps[src // 2], -1 if src % 2 else 1],
-                    "to": [*table.reps[dst // 2], -1 if dst % 2 else 1],
-                    "word": [[d, *table.reps[e]] for d, e in word.entries],
+                    "from": [*reps[src // 2], -1 if src % 2 else 1],
+                    "to": [*reps[dst // 2], -1 if dst % 2 else 1],
+                    "word": [[d, *reps[e]] for d, e in word.entries],
                 }
             )
         return out
 
 
 def check_finitely_irreducible(graph: TransitionGraph) -> IrreducibilityReport:
-    """Strong connectivity plus, when it holds, witness words per vertex pair.
-
-    Witness digits are the smallest magnitude realizing each residue
-    class, so certificates are deterministic and as short as BFS allows.
-    """
-    sccs = strongly_connected_components(graph.edges)
-    if len(sccs) != 1:
-        return IrreducibilityReport(False, {}, -1, len(sccs))
-    witnesses: dict[tuple[int, int], SymbolSequence] = {}
-    diameter = 0
-    for src in range(graph.num_vertices):
-        paths = _bfs_paths(graph, src)
-        for dst, path in enumerate(paths):
-            if path is None:
-                raise AssertionError("SCC said connected but BFS disagreed")
-            diameter = max(diameter, len(path))
-            witnesses[(src, dst)] = SymbolSequence(tuple(path))
-    return IrreducibilityReport(True, witnesses, diameter, 1)
+    """Strong connectivity, diameter and component count from one reachability matrix."""
+    R, steps = _reachability(graph.edges)
+    if R.all():
+        return IrreducibilityReport(True, steps, 1, graph)
+    return IrreducibilityReport(False, -1, len(np.unique(R & R.T, axis=0)), graph)
 
 
 def is_admissible(seq: SymbolSequence, table: CosetTable) -> bool:

@@ -173,13 +173,21 @@ def potential_I_on_cylinder(word: SignedWord) -> float:
         raise ValueError("empty word has no periodic point")
     if not word.is_alternating:
         raise ValueError("word must alternate in sign")
-    if len(digits) % 2 == 0:
-        m = word_to_matrix(digits)
-        return 2.0 * hyperbolic_log_eigenvalue(m.a + m.d)
     m = word_to_matrix(digits)
-    # matrix of the negated word is [[a,-b],[-c,d]] up to overall sign
-    tr_doubled = m.a * m.a + m.d * m.d - 2 * m.b * m.c
-    return hyperbolic_log_eigenvalue(tr_doubled)
+    return _periodic_log_expansion(m.a, m.b, m.c, m.d, len(digits))
+
+
+def _periodic_log_expansion(a: int, b: int, c: int, d: int, length: int) -> float:
+    """Per-period sum of I at the periodic point of a word with matrix [[a,b],[c,d]].
+
+    For an even word the sum is 2 log lambda, lambda the larger
+    eigenvalue of the matrix.  An odd word is doubled with negated
+    digits, whose matrix is [[a,-b],[-c,d]] up to overall sign, so the
+    doubled word has trace a^2 + d^2 - 2bc.
+    """
+    if length % 2 == 0:
+        return 2.0 * hyperbolic_log_eigenvalue(a + d)
+    return hyperbolic_log_eigenvalue(a * a + d * d - 2 * b * c)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +480,7 @@ def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     z = [0.0] * (n + 1)
 
     def weight(matrix, depth, sum_tj):
-        a, b, c, d = matrix
-        tr = a + d if depth % 2 == 0 else a * a + d * d - 2 * b * c
-        log_lam = hyperbolic_log_eigenvalue(tr)
-        s_n_i = 2.0 * log_lam if depth % 2 == 0 else log_lam
-        return math.exp(sum_tj - beta * s_n_i)
+        return math.exp(sum_tj - beta * _periodic_log_expansion(*matrix, depth))
 
     def descend(e, next_digit_sign_options, matrix, depth, sum_tj):
         if depth == n:

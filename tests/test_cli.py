@@ -125,11 +125,13 @@ def test_error_record_exit_1(capsys):
 
 
 def test_spectrum_wrong_direction_length_exit_1(capsys):
-    code, out = run(
-        capsys, "spectrum", "--level", "11", "--grid=-0.1:0.1:2", "--direction=1"
-    )
-    assert code == 1
-    assert json.loads(out)["error"] == "ValueError"
+    # 2g = 2 at level 11: a longer direction is refused, not cut to length
+    for direction in ("--direction=1", "--direction=1,0,5"):
+        code, out = run(
+            capsys, "spectrum", "--level", "11", "--grid=-0.1:0.1:2", direction
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "ValueError"
 
 
 def test_periodic_symbol_bad_start_exit_1(capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modsym import shiftspace
 from modsym.contfrac import CFInput, SymbolSequence, encode_orbit
 from modsym.cosets import CosetTable
 from modsym.shiftspace import (
@@ -73,8 +75,27 @@ def test_negative_control_reducible():
         pruned = pruned.without_edge(src, target)
     report = check_finitely_irreducible(pruned)
     assert not report.irreducible
-    assert report.num_components > 1
+    # components {0}, {3} and {1, 2, 4, 5}
+    assert report.num_components == 3
     assert report.witnesses == {}
+
+
+def test_irreducibility_without_witness_bfs(monkeypatch):
+    """Connectivity and diameter come without any BFS; witnesses are built on read."""
+    def no_bfs(graph, source):
+        raise RuntimeError("witness BFS ran")
+
+    monkeypatch.setattr(shiftspace, "_bfs_paths", no_bfs)
+    report = check_finitely_irreducible(build_graph(CosetTable(11)))
+    assert report.irreducible and report.diameter == 4
+    with pytest.raises(RuntimeError, match="witness BFS ran"):
+        report.witnesses
+
+
+def test_diameter_is_longest_witness():
+    for N in (1, 2, 3, 6, 11, 25):
+        report = check_finitely_irreducible(build_graph(CosetTable(N)))
+        assert report.diameter == max(len(w) for w in report.witnesses.values())
 
 
 def test_witness_replay(level11):
@@ -100,7 +121,7 @@ def test_witness_replay(level11):
 def test_witness_json_format(level2):
     table = level2.table
     report = check_finitely_irreducible(build_graph(table))
-    payload = report.witness_json(table)
+    payload = report.witness_json()
     assert len(payload) == len(report.witnesses)
     entry = payload[0]
     assert set(entry) == {"from", "to", "word"}
