@@ -5,7 +5,14 @@ One generator per coset label, subject to the classical two-term
 quotient is the relative homology of the compactified curve, of
 dimension 2g + n_inf - 1.  The boundary map sends a generator to the
 difference of its two cusps, and its kernel is the cuspidal subspace of
-dimension 2g.  Everything here is Fraction arithmetic; no floats.
+dimension 2g.
+
+Both matrices are oriented incidence matrices of graphs: the relations
+of the trivalent Farey quotient graph (orbits as vertices, labels as
+edges) and the boundary map of a graph on the cusps (Kulkarni, Amer. J.
+Math. 113, 1991).  So each reduction is a greedy spanning forest, with
+no row reduction, and every coordinate is -1, 0 or 1, kept as a
+Fraction.
 """
 
 from __future__ import annotations
@@ -24,31 +31,80 @@ class DimensionMismatch(AssertionError):
     """A computed dimension disagrees with the closed-form invariant."""
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    rows = [row[:] for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _spanning_forest(
+    ends: list[tuple[int, int]], num_vertices: int
+) -> tuple[list[int], dict[int, dict[int, int]]]:
+    """Kruskal in edge order on the oriented edges ``ends[i] = (tail, head)``.
+
+    Returns the tree edges and, for every other edge c in order, its
+    fundamental cycle {edge: +-1}: 1 at c, then the tree path from
+    head(c) back to tail(c), where an edge crossed from its tail to its
+    head counts +1 and one crossed the other way -1.  Reducing the
+    oriented incidence matrix (-1 at the tail, +1 at the head) in column
+    order gives the tree edges as pivot columns and these cycles as the
+    standard kernel basis.
+    """
+    root = list(range(num_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree: list[int] = []
+    others: list[int] = []
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for i, (u, v) in enumerate(ends):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            others.append(i)
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        root[ru] = rv
+        tree.append(i)
+        adjacent[u].append((v, i))
+        adjacent[v].append((u, i))
+
+    # root each tree once: parent vertex, edge to the parent, depth
+    parent = [-1] * num_vertices
+    up_edge = [-1] * num_vertices
+    depth = [-1] * num_vertices
+    for r in range(num_vertices):
+        if depth[r] >= 0:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for y, i in adjacent[x]:
+                if depth[y] < 0:
+                    parent[y], up_edge[y], depth[y] = x, i, depth[x] + 1
+                    stack.append(y)
+
+    cycles: dict[int, dict[int, int]] = {}
+    for c in others:
+        tail, head = ends[c]
+        cycle = {c: 1}
+        # the walk runs a = head ... b = tail; climb the deeper end until they meet
+        a, b = head, tail
+        while a != b:
+            if depth[a] >= depth[b]:
+                i = up_edge[a]
+                a = parent[a]
+                cycle[i] = 1 if ends[i][1] == a else -1
+            else:
+                i = up_edge[b]
+                cycle[i] = 1 if ends[i][1] == b else -1
+                b = parent[b]
+        cycles[c] = cycle
+    return tree, cycles
+
+
+def _dense(cycle: dict[int, int], size: int) -> list[Fraction]:
+    vec = [Fraction(0)] * size
+    for i, sign in cycle.items():
+        vec[i] = Fraction(sign)
+    return vec
 
 
 @dataclass
@@ -75,46 +131,26 @@ def _symbol_action(table: CosetTable, m) -> list[int]:
 
 
 def manin_presentation(table: CosetTable) -> RelativePresentation:
+    """Quotient by the Manin relations, read off a spanning forest.
+
+    Label e lies in exactly one 2-term relation (its S-orbit) and one
+    3-term relation (its ST-orbit).  Negating the 2-term rows turns the
+    relation matrix into the oriented incidence matrix of the bipartite
+    graph whose vertices are the orbits and whose edges are the labels,
+    from its S-orbit to its ST-orbit.  Tree labels are the pivots, and
+    the expressor column of a free label is its fundamental cycle.
+    """
     n = table.size
     act_s = _symbol_action(table, S)
     act_st = _symbol_action(table, ST)
     act_st2 = _symbol_action(table, ST2)
 
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
-    seen = set()
-    for e in range(n):
-        pair = tuple(sorted((e, act_s[e])))
-        if pair not in seen:
-            seen.add(pair)
-            row = [zero] * n
-            row[e] += 1
-            row[act_s[e]] += 1
-            rows.append(row)
-        triple = tuple(sorted((e, act_st[e], act_st2[e])))
-        if triple not in seen:
-            seen.add(triple)
-            row = [zero] * n
-            row[e] += 1
-            row[act_st[e]] += 1
-            row[act_st2[e]] += 1
-            rows.append(row)
-
-    reduced, pivots = _rref(rows, n)
-    free_cols = [c for c in range(n) if c not in set(pivots)]
-    col_pos = {c: i for i, c in enumerate(free_cols)}
-
-    expressor: list[list[Fraction]] = []
-    for g in range(n):
-        coords = [zero] * len(free_cols)
-        if g in col_pos:
-            coords[col_pos[g]] = Fraction(1)
-        else:
-            r = pivots.index(g)
-            # pivot generator = -sum of free-column entries of its row
-            for c in free_cols:
-                coords[col_pos[c]] = -reduced[r][c]
-        expressor.append(coords)
+    # each orbit is named by its smallest label; ST-orbits are offset by n
+    ends = [(min(e, act_s[e]), n + min(e, act_st[e], act_st2[e])) for e in range(n)]
+    pivots, cycles = _spanning_forest(ends, 2 * n)
+    columns = [_dense(cycle, n) for cycle in cycles.values()]
+    expressor = [[col[g] for col in columns] for g in range(n)]
+    free_cols = list(cycles)
 
     inv = table.invariants
     expected = 2 * inv.genus + inv.n_inf - 1
@@ -164,8 +200,11 @@ def cusp_orbits(table: CosetTable) -> CuspOrbitMap:
 class CuspidalSpace:
     """Kernel of the boundary map inside the relative quotient.
 
-    ``projector`` maps quotient coordinates to kernel coordinates along
-    the complement spanned by the boundary matrix's pivot columns.
+    ``kernel_basis`` holds the fundamental cycles of the quotient
+    generators left out of a spanning forest of the cusp graph, and
+    ``projector_cols`` those generators.  ``project`` maps quotient
+    coordinates to kernel coordinates along the complement spanned by
+    the forest's edges.
     """
 
     table: CosetTable
@@ -183,20 +222,16 @@ class CuspidalSpace:
 
 
 def cuspidal_basis(pres: RelativePresentation, cusps: CuspOrbitMap) -> CuspidalSpace:
+    """Kernel of the boundary map from a spanning forest over the cusps.
+
+    The boundary of free generator j is cusp_of_zero - cusp_of_infinity,
+    so the boundary matrix is the oriented incidence matrix of the graph
+    on cusps with the free generators as edges, in column order.
+    """
     table = pres.table
-    qdim = pres.dimension
-    n_inf = cusps.num_orbits
-    zero = Fraction(0)
-
-    # boundary of each quotient basis vector, assembled from generators
-    boundary_cols: list[list[Fraction]] = [[zero] * qdim for _ in range(n_inf)]
-    # The free-column generators themselves span the quotient basis.
-    for j, g in enumerate(pres.free_cols):
-        boundary_cols[cusps.cusp_of_zero[g]][j] += 1
-        boundary_cols[cusps.cusp_of_infinity[g]][j] -= 1
-
-    reduced, pivots = _rref(boundary_cols, qdim)
-    free = [c for c in range(qdim) if c not in set(pivots)]
+    ends = [(cusps.cusp_of_infinity[g], cusps.cusp_of_zero[g]) for g in pres.free_cols]
+    _, cycles = _spanning_forest(ends, cusps.num_orbits)
+    free = list(cycles)
 
     inv = table.invariants
     if len(free) != 2 * inv.genus:
@@ -204,14 +239,7 @@ def cuspidal_basis(pres: RelativePresentation, cusps: CuspOrbitMap) -> CuspidalS
             f"cuspidal dimension {len(free)} != {2 * inv.genus} at level {table.level}"
         )
 
-    # standard-form kernel basis: one vector per free column
-    kernel = []
-    for f in free:
-        vec = [zero] * qdim
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        kernel.append(vec)
+    kernel = [_dense(cycle, pres.dimension) for cycle in cycles.values()]
     return CuspidalSpace(table, pres, cusps, kernel, free)
 
 

@@ -16,8 +16,10 @@ representative digit, the smallest magnitude in its digit class.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -130,6 +132,51 @@ def _bfs_paths(graph: TransitionGraph, source: int) -> list[list[tuple[int, int]
     return paths
 
 
+class WitnessWords(Mapping):
+    """Shortest witness word for every (src, dst) vertex pair of a graph.
+
+    Witness digits are the smallest magnitude realizing each residue
+    class, so certificates are deterministic and as short as BFS allows.
+    One BFS per source, run on the first read of a pair from that source
+    and kept; the length and the keys, in (src, dst) order, need none.
+    An entry may be overwritten but the key set is fixed.
+    """
+
+    def __init__(self, graph: TransitionGraph):
+        self.graph = graph
+        self._rows: dict[int, list[SymbolSequence]] = {}
+
+    def _pair(self, key) -> tuple[int, int]:
+        n = self.graph.num_vertices
+        if isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < n and 0 <= key[1] < n:
+            return key
+        raise KeyError(key)
+
+    def _row(self, src: int) -> list[SymbolSequence]:
+        if src not in self._rows:
+            row = []
+            for path in _bfs_paths(self.graph, src):
+                if path is None:
+                    raise AssertionError("reachability said connected but BFS disagreed")
+                row.append(SymbolSequence(tuple(path)))
+            self._rows[src] = row
+        return self._rows[src]
+
+    def __getitem__(self, key) -> SymbolSequence:
+        src, dst = self._pair(key)
+        return self._row(src)[dst]
+
+    def __setitem__(self, key, word: SymbolSequence) -> None:
+        src, dst = self._pair(key)
+        self._row(src)[dst] = word
+
+    def __len__(self) -> int:
+        return self.graph.num_vertices ** 2
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return product(range(self.graph.num_vertices), repeat=2)
+
+
 @dataclass
 class IrreducibilityReport:
     irreducible: bool
@@ -138,27 +185,16 @@ class IrreducibilityReport:
     graph: TransitionGraph
 
     @cached_property
-    def witnesses(self) -> dict[tuple[int, int], SymbolSequence]:
-        """Shortest witness word per vertex pair, built by BFS on first read.
-
-        Witness digits are the smallest magnitude realizing each residue
-        class, so certificates are deterministic and as short as BFS
-        allows.  Empty when the graph is reducible.
-        """
+    def witnesses(self) -> Mapping[tuple[int, int], SymbolSequence]:
+        """Witness words of every vertex pair; empty when the graph is reducible."""
         if not self.irreducible:
             return {}
-        witnesses: dict[tuple[int, int], SymbolSequence] = {}
-        for src in range(self.graph.num_vertices):
-            for dst, path in enumerate(_bfs_paths(self.graph, src)):
-                if path is None:
-                    raise AssertionError("reachability said connected but BFS disagreed")
-                witnesses[(src, dst)] = SymbolSequence(tuple(path))
-        return witnesses
+        return WitnessWords(self.graph)
 
     def witness_json(self) -> list[dict]:
         reps = self.graph.table.reps
         out = []
-        for (src, dst), word in sorted(self.witnesses.items()):
+        for (src, dst), word in self.witnesses.items():
             # vertex v is coset v // 2 with sign +1 when v is even
             out.append(
                 {

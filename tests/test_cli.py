@@ -51,6 +51,11 @@ def test_homology(capsys):
     assert data["relativeDimension"] == 3
 
 
+def test_homology_large_level(capsys):
+    data = run_json(capsys, "homology", "--level", "420")
+    assert data["cuspidalDimension"] == 170
+
+
 def test_encode(capsys):
     data = run_json(capsys, "encode", "--level", "11", "--rational", "3/7")
     assert data["entries"] == [[-2, 0], [3, 10]]

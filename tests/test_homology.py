@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modsym.cosets import CosetTable
@@ -7,14 +8,112 @@ from modsym.psl2 import S
 from modsym.homology import (
     ST,
     ST2,
-    _rref,
     _symbol_action,
     build_homology,
     classes_json,
     cusp_orbits,
+    cuspidal_basis,
     manin_presentation,
     symbol_class,
 )
+
+
+# --- Fraction row-reduction oracle ------------------------------------------
+# The presentation and the cuspidal kernel by plain RREF over the rationals:
+# an independent oracle for the spanning forests of modsym.homology.
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns nonzero rows and pivot columns."""
+    rows = [row[:] for row in rows if any(row)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _rref_presentation(table):
+    """(pivots, free_cols, expressor) of the Manin relations by RREF."""
+    n = table.size
+    act_s = _symbol_action(table, S)
+    act_st = _symbol_action(table, ST)
+    act_st2 = _symbol_action(table, ST2)
+
+    rows: list[list[Fraction]] = []
+    zero = Fraction(0)
+    seen = set()
+    for e in range(n):
+        pair = tuple(sorted((e, act_s[e])))
+        if pair not in seen:
+            seen.add(pair)
+            row = [zero] * n
+            row[e] += 1
+            row[act_s[e]] += 1
+            rows.append(row)
+        triple = tuple(sorted((e, act_st[e], act_st2[e])))
+        if triple not in seen:
+            seen.add(triple)
+            row = [zero] * n
+            row[e] += 1
+            row[act_st[e]] += 1
+            row[act_st2[e]] += 1
+            rows.append(row)
+
+    reduced, pivots = _rref(rows, n)
+    free_cols = [c for c in range(n) if c not in set(pivots)]
+    col_pos = {c: i for i, c in enumerate(free_cols)}
+
+    expressor: list[list[Fraction]] = []
+    for g in range(n):
+        coords = [zero] * len(free_cols)
+        if g in col_pos:
+            coords[col_pos[g]] = Fraction(1)
+        else:
+            r = pivots.index(g)
+            # pivot generator = -sum of free-column entries of its row
+            for c in free_cols:
+                coords[col_pos[c]] = -reduced[r][c]
+        expressor.append(coords)
+    return pivots, free_cols, expressor
+
+
+def _rref_cuspidal(free_cols, cusps):
+    """(projector_cols, kernel_basis) of the boundary map by RREF."""
+    qdim = len(free_cols)
+    zero = Fraction(0)
+    boundary_cols: list[list[Fraction]] = [[zero] * qdim for _ in range(cusps.num_orbits)]
+    for j, g in enumerate(free_cols):
+        boundary_cols[cusps.cusp_of_zero[g]][j] += 1
+        boundary_cols[cusps.cusp_of_infinity[g]][j] -= 1
+
+    reduced, pivots = _rref(boundary_cols, qdim)
+    free = [c for c in range(qdim) if c not in set(pivots)]
+    kernel = []
+    for f in free:
+        vec = [zero] * qdim
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        kernel.append(vec)
+    return free, kernel
 
 
 def _add(vecs):
@@ -30,6 +129,28 @@ def test_rref_simple():
     reduced, pivots = _rref(rows, 2)
     assert pivots == [0]
     assert reduced == [[Fraction(1), Fraction(2)]]
+
+
+@pytest.mark.parametrize("levels", [range(1, 61), (97, 100), (150,), (199,)],
+                         ids=["1-60", "97,100", "150", "199"])
+def test_forests_match_rref_oracle(levels):
+    for N in levels:
+        table = CosetTable(N)
+        pres = manin_presentation(table)
+        pivots, free_cols, expressor = _rref_presentation(table)
+        assert pres.pivots == pivots, N
+        assert pres.free_cols == free_cols, N
+        for g in range(table.size):
+            assert pres.expressor[g] == expressor[g], (N, g)
+
+        cusps = cusp_orbits(table)
+        cuspidal = cuspidal_basis(pres, cusps)
+        projector_cols, kernel = _rref_cuspidal(free_cols, cusps)
+        assert cuspidal.projector_cols == projector_cols, N
+        assert cuspidal.kernel_basis == kernel, N
+
+        classes = [tuple(expressor[e][c] for c in projector_cols) for e in range(table.size)]
+        assert build_homology(table).classes == classes, N
 
 
 def test_presentation_dimensions_small():
@@ -141,3 +262,23 @@ def test_nonsquarefree_levels():
         inv = data.table.invariants
         assert data.presentation.dimension == 2 * inv.genus + inv.n_inf - 1
         assert data.cuspidal.dimension == 2 * inv.genus
+
+
+def test_large_level_classes_are_signs():
+    """N=420 (kappa 1152, 2g 170): both dimension checks pass, every class and
+    expressor row is a -1/0/1 integer vector, the relations vanish on both and
+    the classes sum to zero."""
+    table = CosetTable(420)
+    data = build_homology(table)
+    inv = table.invariants
+    assert data.presentation.dimension == 2 * inv.genus + inv.n_inf - 1
+    assert data.dimension == 2 * inv.genus == 170
+    act_s = _symbol_action(table, S)
+    act_st = _symbol_action(table, ST)
+    act_st2 = _symbol_action(table, ST2)
+    for vecs in (data.presentation.expressor, data.classes):
+        assert all(c.denominator == 1 and c in (-1, 0, 1) for v in vecs for c in v)
+        m = np.array([[int(c) for c in v] for v in vecs])
+        assert not (m + m[act_s]).any()
+        assert not (m + m[act_st] + m[act_st2]).any()
+    assert not np.array([[int(c) for c in v] for v in data.classes]).sum(axis=0).any()

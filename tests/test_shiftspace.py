@@ -81,15 +81,64 @@ def test_negative_control_reducible():
 
 
 def test_irreducibility_without_witness_bfs(monkeypatch):
-    """Connectivity and diameter come without any BFS; witnesses are built on read."""
+    """Connectivity, diameter, the witness mapping and its length come without
+    any BFS; reading one entry runs it."""
     def no_bfs(graph, source):
         raise RuntimeError("witness BFS ran")
 
     monkeypatch.setattr(shiftspace, "_bfs_paths", no_bfs)
     report = check_finitely_irreducible(build_graph(CosetTable(11)))
     assert report.irreducible and report.diameter == 4
+    witnesses = report.witnesses
+    assert len(witnesses) == report.graph.num_vertices**2
     with pytest.raises(RuntimeError, match="witness BFS ran"):
-        report.witnesses
+        witnesses[(0, 1)]
+
+    monkeypatch.setattr(shiftspace, "_bfs_paths", lambda graph, source: [None])
+    with pytest.raises(AssertionError, match="BFS disagreed"):
+        witnesses[(2, 0)]
+
+
+def test_witness_read_runs_one_bfs(monkeypatch):
+    calls = []
+
+    def counted(graph, source):
+        calls.append(source)
+        return bfs(graph, source)
+
+    bfs = shiftspace._bfs_paths
+    monkeypatch.setattr(shiftspace, "_bfs_paths", counted)
+    report = check_finitely_irreducible(build_graph(CosetTable(150)))
+    word = report.witnesses[(5, 17)]
+    assert calls == [5]
+    assert report.witnesses[(5, 400)] is not None and calls == [5]
+    assert word == SymbolSequence(tuple(bfs(report.graph, 5)[17]))
+
+
+def test_witnesses_equal_eager_build():
+    """Keys, order and words match building every source's BFS up front."""
+    for N in range(1, 21):
+        graph = build_graph(CosetTable(N))
+        eager = {
+            (src, dst): SymbolSequence(tuple(path))
+            for src in range(graph.num_vertices)
+            for dst, path in enumerate(shiftspace._bfs_paths(graph, src))
+        }
+        witnesses = check_finitely_irreducible(graph).witnesses
+        assert list(witnesses) == list(eager)
+        assert dict(witnesses) == eager
+
+
+def test_witness_assignment_is_kept():
+    report = check_finitely_irreducible(build_graph(CosetTable(6)))
+    word = SymbolSequence(((1, 0),))
+    report.witnesses[(3, 7)] = word
+    assert report.witnesses.get((3, 7)) is word
+    assert dict(report.witnesses.items())[(3, 7)] is word
+    V = report.graph.num_vertices
+    assert report.witnesses.get((V, 0)) is None and (0, V) not in report.witnesses
+    with pytest.raises(KeyError):
+        report.witnesses[(-1, 0)] = word
 
 
 def test_diameter_is_longest_witness():
