@@ -15,11 +15,10 @@ representative digit, the smallest magnitude in its digit class.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -74,6 +73,16 @@ class TransitionGraph:
     def num_edge_families(self) -> int:
         return sum(len(row) for row in self.edges)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge table in compressed rows: ``edges[v]`` is ``targets[i]``
+        with ``digits[i]`` for i in ``indptr[v]:indptr[v + 1]``."""
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in self.edges], out=indptr[1:])
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.edges)),
+                           dtype=np.int64, count=2 * int(indptr[-1]))
+        return indptr, flat[0::2], flat[1::2]
+
     def without_edge(self, src: int, dst: int) -> "TransitionGraph":
         """Copy with every edge family src -> dst removed (negative control)."""
         pruned = [
@@ -115,21 +124,34 @@ def strongly_connected_components(edges: list[list[tuple[int, int]]]) -> list[li
     return [np.flatnonzero(row).tolist() for row in np.unique(R & R.T, axis=0)]
 
 
-def _bfs_paths(graph: TransitionGraph, source: int) -> list[list[tuple[int, int]] | None]:
-    """Shortest edge paths (as (digit, source-coset) letters) from one vertex."""
-    n = graph.num_vertices
-    paths: list[list[tuple[int, int]] | None] = [None] * n
-    paths[source] = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        base = paths[v]
-        coset_v = v // 2
-        for dst, digit in graph.edges[v]:
-            if paths[dst] is None:
-                paths[dst] = base + [(digit, coset_v)]
-                queue.append(dst)
-    return paths
+def _bfs_paths(graph: TransitionGraph, source: int) -> tuple[list[int], list[int]]:
+    """Breadth-first tree from one vertex: parent vertex and digit of the
+    tree edge into each vertex.
+
+    The source is its own parent; an unreached vertex has parent -1.
+    Grown one level at a time over the graph's edge arrays; a vertex
+    takes the first edge that reaches it in (frontier order, row order),
+    the order a first-in first-out queue would visit them.
+    """
+    indptr, targets, digits = graph.edge_arrays
+    parent = np.full(graph.num_vertices, -1)
+    digit = np.zeros(graph.num_vertices, dtype=np.int64)
+    parent[source] = source
+    frontier = np.array([source])
+    while frontier.size:
+        counts = indptr[frontier + 1] - indptr[frontier]
+        # positions of the frontier's edges, row after row
+        pos = np.repeat(indptr[frontier] - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        src = np.repeat(frontier, counts)
+        fresh = parent[targets[pos]] < 0
+        pos, src = pos[fresh], src[fresh]
+        # the first edge into each newly reached vertex, in discovery order
+        first = np.sort(np.unique(targets[pos], return_index=True)[1])
+        frontier = targets[pos[first]]
+        parent[frontier] = src[first]
+        digit[frontier] = digits[pos[first]]
+    return parent.tolist(), digit.tolist()
 
 
 class WitnessWords(Mapping):
@@ -137,14 +159,16 @@ class WitnessWords(Mapping):
 
     Witness digits are the smallest magnitude realizing each residue
     class, so certificates are deterministic and as short as BFS allows.
-    One BFS per source, run on the first read of a pair from that source
-    and kept; the length and the keys, in (src, dst) order, need none.
-    An entry may be overwritten but the key set is fixed.
+    One BFS tree per source, grown on the first read of a pair from that
+    source and kept; each read walks the tree back from dst.  The length
+    and the keys, in (src, dst) order, need no BFS.  An entry may be
+    overwritten but the key set is fixed.
     """
 
     def __init__(self, graph: TransitionGraph):
         self.graph = graph
-        self._rows: dict[int, list[SymbolSequence]] = {}
+        self._trees: dict[int, tuple[list[int], list[int]]] = {}
+        self._assigned: dict[tuple[int, int], SymbolSequence] = {}
 
     def _pair(self, key) -> tuple[int, int]:
         n = self.graph.num_vertices
@@ -152,23 +176,28 @@ class WitnessWords(Mapping):
             return key
         raise KeyError(key)
 
-    def _row(self, src: int) -> list[SymbolSequence]:
-        if src not in self._rows:
-            row = []
-            for path in _bfs_paths(self.graph, src):
-                if path is None:
-                    raise AssertionError("reachability said connected but BFS disagreed")
-                row.append(SymbolSequence(tuple(path)))
-            self._rows[src] = row
-        return self._rows[src]
+    def _tree(self, src: int) -> tuple[list[int], list[int]]:
+        if src not in self._trees:
+            parent, digit = _bfs_paths(self.graph, src)
+            if min(parent) < 0:
+                raise AssertionError("reachability said connected but BFS disagreed")
+            self._trees[src] = parent, digit
+        return self._trees[src]
 
     def __getitem__(self, key) -> SymbolSequence:
         src, dst = self._pair(key)
-        return self._row(src)[dst]
+        if key in self._assigned:
+            return self._assigned[key]
+        parent, digit = self._tree(src)
+        letters = []
+        while dst != src:
+            v = parent[dst]
+            letters.append((digit[dst], v // 2))
+            dst = v
+        return SymbolSequence(tuple(reversed(letters)))
 
     def __setitem__(self, key, word: SymbolSequence) -> None:
-        src, dst = self._pair(key)
-        self._row(src)[dst] = word
+        self._assigned[self._pair(key)] = word
 
     def __len__(self) -> int:
         return self.graph.num_vertices ** 2

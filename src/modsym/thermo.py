@@ -10,8 +10,9 @@ per-word hyperbolic traces when the word count is small, otherwise a
 uniform-grid function iteration) and serves as an independent
 cross-check.  The collocation operator and the grid iteration both read
 their edge families from the level's ``shiftspace.TransitionGraph``.
-The vertex graph is bipartite in the sign coordinate, so eigen-data is
-extracted from the squared operator.
+The vertex graph is bipartite in the sign coordinate, so the operator is
+stored as its two off-diagonal sign blocks, and eigen-data comes from
+their product, one sign block of the squared operator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -53,7 +54,7 @@ class MomentCheckError(RuntimeError):
 
 
 class OperatorTooLarge(MemoryError):
-    """The dense collocation matrices would not fit in physical memory."""
+    """The collocation matrices would not fit in physical memory."""
 
 
 ENUM_LIMIT = 2_000_000  # word-count bound for exact cylinder enumeration
@@ -256,116 +257,141 @@ def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.n
         - 2 * N ** (-s) * _zeta_sprime(s, q)
 
 
+@lru_cache(maxsize=4)
+def _class_geometry(N: int, K: int, m: int):
+    """The beta-independent part of the class blocks at (N, K, m).
+
+    Returns (classes, q, d0, d0_2).  ``classes[a0 - 1]`` is None when
+    the class a0 has no magnitude up to K, else (ay, 2 log ay, R) with
+    ay[j, a] = a + y_j over its magnitudes a and R the barycentric rows
+    at 1 / ay; ``q[a0 - 1]`` holds the Hurwitz arguments of its tail, and
+    d0, d0_2 are the first rows of the differentiation matrix and of its
+    square.  Every caller shares the arrays, so they are read-only.
+    """
+    y = _lobatto_nodes(m)
+    weights = _bary_weights(m)
+    D = _diff_matrix(y, weights)
+    classes, qs = [], []
+    for a0 in range(1, N + 1):
+        mags, q = _digit_class(a0, N, K, y)
+        qs.append(q)
+        if mags.size:
+            ay = mags[None, :] + y[:, None]          # (npts, na)
+            classes.append((ay, 2.0 * np.log(ay), _bary_rows(1.0 / ay, y, weights)))
+        else:
+            classes.append(None)
+    q, d0, d0_2 = np.array(qs), D[0], (D @ D)[0]
+    for arr in (q, d0, d0_2, *(a for c in classes if c is not None for a in c)):
+        arr.flags.writeable = False
+    return tuple(classes), q, d0, d0_2
+
+
 class TransferOperator:
     """Chebyshev-collocation discretization at one level.
 
-    Functions live on vertex x node; vertex (e, +1) occupies block 2e
-    and (e, -1) block 2e+1.  The edge families come from
-    ``level.graph``; the block of an edge depends on its digit class
-    only through the smallest magnitude a0 = abs(digit), so blocks are
-    shared across cosets.  Construction refuses, with
-    ``OperatorTooLarge``, a level whose dense L and L_log would not fit
-    in physical memory.
+    Functions live on vertex x node.  The vertex graph is bipartite in
+    sign, so L is stored as its two off-diagonal sign blocks:
+    ``S[0] = L[+, -]`` (sources (e, -1)) and ``S[1] = L[-, +]``
+    (sources (e, +1)), each with cosets in label order and the nodes of
+    one coset contiguous.  A vector x = [x+; x-] follows the same order.
+    The edge families come from ``level.graph``; the block of an edge
+    depends on its digit class only through the smallest magnitude
+    a0 = abs(digit), so blocks are shared across cosets.  Construction
+    refuses, with ``OperatorTooLarge``, a level whose sign blocks of L
+    and L_log would not fit in physical memory.
     """
 
     def __init__(self, level: LevelData, cfg: NumericsConfig):
         m = cfg.collocation_degree
-        n = 2 * level.table.size * (m + 1)
-        need = 2 * 8 * n * n
+        kappa = level.table.size
+        n = 2 * kappa * (m + 1)
+        need = 8 * n * n   # two sign blocks of (n/2)^2 float64 each, for L and L_log
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise OperatorTooLarge(
-                f"N={level.level}: L and L_log ({n}x{n} float64) need {need} bytes, "
-                f"physical memory is {have} bytes"
+                f"N={level.level}: the sign blocks of L and L_log ({n}x{n} float64) "
+                f"need {need} bytes, physical memory is {have} bytes"
             )
         self.level = level
         self.cfg = cfg
         self.nodes = _lobatto_nodes(m)
-        self.weights = _bary_weights(m)
-        D = _diff_matrix(self.nodes, self.weights)
-        self.d0 = D[0]
-        self.d0_2 = (D @ D)[0]
-        self.e0 = np.zeros(m + 1)
-        self.e0[0] = 1.0
-        # sign-class mask: nodes of the +1 vertices 2e
-        self.plus_mask = np.repeat(np.arange(2 * level.table.size) % 2 == 0, m + 1)
+        # [e, k, r]: target coset and class index a0 - 1 of the residue-r edge
+        # leaving coset e into block k; source vertex 2e + 1 feeds k = 0
+        edges = np.array(level.graph.edges).reshape(kappa, 2, level.level, 2)[:, ::-1]
+        self.targets = edges[..., 0] // 2
+        self.edge_class = np.abs(edges[..., 1]) - 1
 
-    @property
-    def size(self) -> int:
-        return 2 * self.level.table.size * (self.nodes.size)
-
-    def _class_blocks(self, beta: float, with_log: bool):
-        """One (m+1)x(m+1) block per smallest magnitude a0 in 1..N."""
+    def _class_blocks(self, beta: float, with_log: bool) -> np.ndarray:
+        """(N, m+1, m+1): the block of smallest magnitude a0 at index a0 - 1."""
         cfg = self.cfg
         N = self.level.level
-        K = cfg.digit_cutoff
-        y = self.nodes
-        npts = y.size
-        blocks = {}
-        for a0 in range(1, N + 1):
-            mags, q = _digit_class(a0, N, K, y)
-            B = np.zeros((npts, npts))
-            if mags.size:
-                ay = mags[None, :] + y[:, None]          # (npts, na)
+        npts = self.nodes.size
+        classes, q, d0, d0_2 = _class_geometry(N, cfg.digit_cutoff, cfg.collocation_degree)
+        blocks = np.zeros((N, npts, npts))
+        for B, geometry in zip(blocks, classes):
+            if geometry is not None:
+                ay, log_weight, R = geometry
                 W = ay ** (-2.0 * beta)
                 if with_log:
-                    W = W * (2.0 * np.log(ay))
-                R = _bary_rows(1.0 / ay, y, self.weights)  # (npts, na, npts)
-                B = np.einsum("ja,jal->jl", W, R)
-            if cfg.tail_mode == "zeta-tail":
-                # Taylor rows of the interpolant at the branch endpoint 0:
-                # f(u) ~ f(0) + u f'(0) + u^2 f''(0) / 2
-                s0 = 2.0 * beta
-                B = B + _class_tail(s0, N, q, with_log)[:, None] * self.e0[None, :] \
-                    + _class_tail(s0 + 1.0, N, q, with_log)[:, None] * self.d0[None, :] \
-                    + _class_tail(s0 + 2.0, N, q, with_log)[:, None] * (self.d0_2[None, :] / 2.0)
-            blocks[a0] = B
+                    W = W * log_weight
+                np.einsum("ja,jal->jl", W, R, out=B)
+        if cfg.tail_mode == "zeta-tail":
+            # Taylor rows of the interpolant at the branch endpoint 0:
+            # f(u) ~ f(0) + u f'(0) + u^2 f''(0) / 2
+            s0 = 2.0 * beta
+            blocks[:, :, 0] += _class_tail(s0, N, q, with_log)
+            blocks += _class_tail(s0 + 1.0, N, q, with_log)[:, :, None] * d0
+            blocks += _class_tail(s0 + 2.0, N, q, with_log)[:, :, None] * (d0_2 / 2.0)
         return blocks
 
     def assemble(self, t, beta: float, with_log: bool = False) -> np.ndarray:
+        """Sign blocks S of L (or of L_log), shape (2, kappa (m+1), kappa (m+1))."""
         if beta <= 0.5:
             raise BetaOutOfDomain(f"beta must exceed 1/2, got {beta}")
         level = self.level
         t = _as_t_vector(level, t)
         blocks = self._class_blocks(beta, with_log)
-        npts = self.nodes.size
-        L = np.zeros((self.size, self.size))
-        scalars = _coset_scalars(level, t)
-        for src, row in enumerate(level.graph.edges):
-            cols = slice(src * npts, (src + 1) * npts)
-            for dst, digit in row:
-                L[dst * npts:(dst + 1) * npts, cols] += scalars[src // 2] * blocks[abs(digit)]
-        return L
+        scalars = _coset_scalars(level, t)[:, None, None]
+        kappa, npts = level.table.size, self.nodes.size
+        S = np.zeros((2, kappa * npts, kappa * npts))
+        src = np.arange(kappa)
+        for k in (0, 1):
+            cells = S[k].reshape(kappa, npts, kappa, npts)
+            # one edge per source and residue, so no cell repeats within a residue
+            for dst, cls in zip(self.targets[:, k].T, self.edge_class[:, k].T):
+                cells[dst, :, src, :] += scalars * blocks[cls]
+        return S
 
-    def leading(self, M: np.ndarray):
-        """Perron root lam and positive eigenvector h of M, which is L or,
-        for the left vector, L.T.
+    def leading(self, S: np.ndarray):
+        """Perron root lam and positive eigenvector h = [h+; h-] of the
+        operator with sign blocks S.  For the left vector pass
+        ``S[::-1].transpose(0, 2, 1)``, the sign blocks of L.T.
 
-        Works on M^2, which is block diagonal over the two sign classes,
-        then lifts a one-class Perron vector back to an eigenvector of M.
+        Power iteration on S[0] S[1], the (+, +) block of L^2, then the
+        lift h = [v; S[1] v / lam] of its vector v to an eigenvector of L.
         """
-        lam2, v = _square_perron(M, self.cfg.tolerance)
-        lam = math.sqrt(lam2)
-        v_plus = np.where(self.plus_mask, v, 0.0)
-        return lam, v_plus + (M @ v_plus) / lam
+        A, B = S
+        tol = self.cfg.tolerance
+        v = np.ones(A.shape[0])
+        lam2_old = 0.0
+        for _ in range(5000):
+            w = A @ (B @ v)
+            lam2 = w.max()
+            if lam2 <= 0 or not np.isfinite(lam2):
+                raise NoConvergence("iteration lost positivity")
+            w /= lam2
+            if abs(lam2 - lam2_old) <= tol * max(lam2, 1e-300) \
+                    and np.abs(w - v).max() <= 100 * tol:
+                lam = math.sqrt(lam2)
+                return lam, np.concatenate([w, (B @ w) / lam])
+            lam2_old, v = lam2, w
+        raise NoConvergence("power iteration cap reached")
 
 
-def _square_perron(M: np.ndarray, tol: float):
-    """Power iteration on M^2: its leading eigenvalue and max-normalized vector."""
-    v = np.ones(M.shape[0])
-    lam2_old = 0.0
-    for _ in range(5000):
-        w = M @ (M @ v)
-        nrm = w.max()
-        if nrm <= 0 or not np.isfinite(nrm):
-            raise NoConvergence("iteration lost positivity")
-        w /= nrm
-        lam2 = nrm
-        if abs(lam2 - lam2_old) <= tol * max(lam2, 1e-300) \
-                and np.abs(w - v).max() <= 100 * tol:
-            return lam2, w
-        lam2_old, v = lam2, w
-    raise NoConvergence("power iteration cap reached")
+def _apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L @ x for the operator with sign blocks S and x = [x+; x-]."""
+    half = S.shape[1]
+    return np.concatenate([S[0] @ x[half:], S[1] @ x[:half]])
 
 
 def pressure_collocation(level: LevelData, t, beta: float,
@@ -374,8 +400,7 @@ def pressure_collocation(level: LevelData, t, beta: float,
     """Pressure as log of the leading collocation eigenvalue."""
     cfg = cfg or NumericsConfig()
     op = _op or TransferOperator(level, cfg)
-    L = op.assemble(t, beta)
-    lam, _ = op.leading(L)
+    lam, _ = op.leading(op.assemble(t, beta))
     return PressureEstimate(math.log(lam), cfg.provenance("collocation", beta=beta))
 
 
@@ -417,21 +442,20 @@ def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None) -> Gib
     t = _as_t_vector(level, t)
     beta = solve_beta(level, t, cfg)
     op = TransferOperator(level, cfg)
-    L = op.assemble(t, beta)
-    lam, h = op.leading(L)
-    _, nu = op.leading(L.T)
+    S = op.assemble(t, beta)
+    lam, h = op.leading(S)
+    _, nu = op.leading(S[::-1].transpose(0, 2, 1))
     denom = lam * float(nu @ h)
 
-    L_log = op.assemble(t, beta, with_log=True)
-    mean_i = float(nu @ (L_log @ h)) / denom
+    mean_i = float(nu @ _apply(op.assemble(t, beta, with_log=True), h)) / denom
     if mean_i <= 0:
         raise NoConvergence("nonpositive expansion moment")
 
     npts = op.nodes.size
     mean_j = np.zeros(level.two_g)
     for i in range(level.two_g):
-        scale = np.repeat(np.repeat(level.j_values[:, i], 2), npts)
-        mean_j[i] = float(nu @ (L @ (scale * h))) / denom
+        scale = np.tile(np.repeat(level.j_values[:, i], npts), 2)
+        mean_j[i] = float(nu @ _apply(S, scale * h)) / denom
 
     _check_moments(level, t, beta, cfg, mean_j, mean_i)
 

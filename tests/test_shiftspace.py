@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,29 @@ from modsym.shiftspace import (
     smallest_digit,
     strongly_connected_components,
 )
+
+
+def deque_paths(graph, source):
+    """Shortest edge paths (as (digit, source-coset) letters) from one vertex,
+    by a first-in first-out queue over the edge table."""
+    paths = [None] * graph.num_vertices
+    paths[source] = []
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for dst, digit in graph.edges[v]:
+            if paths[dst] is None:
+                paths[dst] = paths[v] + [(digit, v // 2)]
+                queue.append(dst)
+    return paths
+
+
+def oracle_words(graph):
+    return {
+        (src, dst): SymbolSequence(tuple(path))
+        for src in range(graph.num_vertices)
+        for dst, path in enumerate(deque_paths(graph, src))
+    }
 
 
 def test_smallest_digit():
@@ -94,7 +118,12 @@ def test_irreducibility_without_witness_bfs(monkeypatch):
     with pytest.raises(RuntimeError, match="witness BFS ran"):
         witnesses[(0, 1)]
 
-    monkeypatch.setattr(shiftspace, "_bfs_paths", lambda graph, source: [None])
+    def tree_missing_vertices(graph, source):
+        parent = [-1] * graph.num_vertices
+        parent[source] = source
+        return parent, [0] * graph.num_vertices
+
+    monkeypatch.setattr(shiftspace, "_bfs_paths", tree_missing_vertices)
     with pytest.raises(AssertionError, match="BFS disagreed"):
         witnesses[(2, 0)]
 
@@ -112,21 +141,33 @@ def test_witness_read_runs_one_bfs(monkeypatch):
     word = report.witnesses[(5, 17)]
     assert calls == [5]
     assert report.witnesses[(5, 400)] is not None and calls == [5]
-    assert word == SymbolSequence(tuple(bfs(report.graph, 5)[17]))
+    assert word == SymbolSequence(tuple(deque_paths(report.graph, 5)[17]))
 
 
 def test_witnesses_equal_eager_build():
-    """Keys, order and words match building every source's BFS up front."""
+    """Keys, order and words match building every source's queue BFS up front."""
     for N in range(1, 21):
         graph = build_graph(CosetTable(N))
-        eager = {
-            (src, dst): SymbolSequence(tuple(path))
-            for src in range(graph.num_vertices)
-            for dst, path in enumerate(shiftspace._bfs_paths(graph, src))
-        }
+        eager = oracle_words(graph)
         witnesses = check_finitely_irreducible(graph).witnesses
         assert list(witnesses) == list(eager)
         assert dict(witnesses) == eager
+
+
+def test_witnesses_on_pruned_irreducible_graph():
+    """Rows of unequal length: with the first edge family of every fourth
+    vertex removed the graph stays irreducible, and its words still match
+    the queue BFS, some of them now on other paths."""
+    full = build_graph(CosetTable(11))
+    graph = full
+    for src in range(0, graph.num_vertices, 4):
+        graph = graph.without_edge(src, graph.edges[src][0][0])
+    assert len({len(row) for row in graph.edges}) > 1
+    report = check_finitely_irreducible(graph)
+    assert report.irreducible
+    words = dict(report.witnesses)
+    assert words == oracle_words(graph)
+    assert words != dict(check_finitely_irreducible(full).witnesses)
 
 
 def test_witness_assignment_is_kept():

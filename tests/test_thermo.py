@@ -1,11 +1,15 @@
 import math
+import os
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import modsym
-from modsym import build_level_data
+from modsym import build_level_data, thermo
 from modsym.contfrac import SignedWord
 from modsym.thermo import (
     BetaOutOfDomain,
@@ -24,6 +28,52 @@ from modsym.thermo import (
 )
 
 GOLDEN_I = 2 * math.log((3 + math.sqrt(5)) / 2)
+
+
+def dense(S):
+    """The operator with sign blocks S as one matrix on [x+; x-]."""
+    zero = np.zeros_like(S[0])
+    return np.block([[zero, S[0]], [S[1], zero]])
+
+
+def dense_oracle(level, cfg, t, beta, with_log):
+    """L on vertex-ordered blocks (vertex (e, +1) is 2e, (e, -1) is 2e+1),
+    its class blocks built from scratch and scattered edge by edge."""
+    N, K = level.level, cfg.digit_cutoff
+    y = thermo._lobatto_nodes(cfg.collocation_degree)
+    w = thermo._bary_weights(cfg.collocation_degree)
+    D = thermo._diff_matrix(y, w)
+    e0 = np.zeros(y.size)
+    e0[0] = 1.0
+    blocks = {}
+    for a0 in range(1, N + 1):
+        mags, q = thermo._digit_class(a0, N, K, y)
+        B = np.zeros((y.size, y.size))
+        if mags.size:
+            ay = mags[None, :] + y[:, None]
+            W = ay ** (-2.0 * beta)
+            if with_log:
+                W = W * (2.0 * np.log(ay))
+            B = np.einsum("ja,jal->jl", W, thermo._bary_rows(1.0 / ay, y, w))
+        if cfg.tail_mode == "zeta-tail":
+            s0 = 2.0 * beta
+            B = B + thermo._class_tail(s0, N, q, with_log)[:, None] * e0[None, :] \
+                + thermo._class_tail(s0 + 1.0, N, q, with_log)[:, None] * D[0][None, :] \
+                + thermo._class_tail(s0 + 2.0, N, q, with_log)[:, None] * ((D @ D)[0][None, :] / 2.0)
+        blocks[a0] = B
+    n = y.size
+    L = np.zeros((2 * level.table.size * n,) * 2)
+    scalars = thermo._coset_scalars(level, thermo._as_t_vector(level, t))
+    for src, row in enumerate(level.graph.edges):
+        cols = slice(src * n, (src + 1) * n)
+        for dst, digit in row:
+            L[dst * n:(dst + 1) * n, cols] += scalars[src // 2] * blocks[abs(digit)]
+    return L
+
+
+@lru_cache(maxsize=None)
+def _level(N):
+    return build_level_data(N)
 
 
 def test_config_validation():
@@ -93,7 +143,7 @@ def test_pressure_monotone_in_beta(level11, cfg):
 def test_collocation_matches_gkw_eigenfunction(level1, cfg):
     """At beta=1 the operator fixes 1/(1+y) with eigenvalue 1 (Gauss-Kuzmin)."""
     op = TransferOperator(level1, cfg)
-    L = op.assemble([], 1.0)
+    L = dense(op.assemble([], 1.0))
     nodes = op.nodes
     f = 1.0 / (1.0 + nodes)
     vec = np.concatenate([f, f])  # both sign vertices carry the density
@@ -110,30 +160,32 @@ def test_edge_classes_partition_the_digits(level1, cfg):
     duplicated or misclassed edge family breaks the sum.
     """
     n = cfg.collocation_degree + 1
-    ref = TransferOperator(level1, cfg).assemble([], 1.0)
+    ref = dense(TransferOperator(level1, cfg).assemble([], 1.0))
+    # column block v is source (v, +1) when v < kappa, else (v - kappa, -1)
     ref_blocks = [ref[:, v * n:(v + 1) * n].reshape(2, n, n).sum(axis=0) for v in (0, 1)]
     for N in (2, 6, 11):
         level = build_level_data(N)
-        L = TransferOperator(level, cfg).assemble(np.zeros(level.two_g), 1.0)
+        L = dense(TransferOperator(level, cfg).assemble(np.zeros(level.two_g), 1.0))
         num_v = L.shape[0] // n
         assert num_v == level.graph.num_vertices
         for v in range(num_v):
             out = L[:, v * n:(v + 1) * n].reshape(num_v, n, n).sum(axis=0)
-            expect = ref_blocks[v % 2]
+            expect = ref_blocks[v // level.table.size]
             assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max(), (N, v)
 
 
 @pytest.mark.parametrize("N", [1, 2, 11])
 def test_leading_right_and_left_perron_vectors(N, cfg):
-    """leading(L) and leading(L.T) each return a positive eigenvector of
-    their matrix, with Perron roots that agree."""
+    """leading on the sign blocks of L and of L.T each returns a positive
+    eigenvector of its matrix, with Perron roots that agree."""
     level = build_level_data(N)
     op = TransferOperator(level, cfg)
     t = np.full(level.two_g, 0.05)
-    L = op.assemble(t, 1.0)
+    S = op.assemble(t, 1.0)
     roots = []
-    for M in (L, L.T):
-        lam, h = op.leading(M)
+    for blocks in (S, S[::-1].transpose(0, 2, 1)):
+        lam, h = op.leading(blocks)
+        M = dense(blocks)
         assert (h > 0).all()
         assert np.abs(M @ h - lam * h).max() <= 10 * cfg.tolerance * np.abs(h).max()
         roots.append(lam)
@@ -144,6 +196,56 @@ def test_operator_too_large_refused_before_allocating(level1):
     with pytest.raises(OperatorTooLarge, match=r"N=1: .*2000002x2000002"):
         TransferOperator(level1, NumericsConfig(collocation_degree=10**6))
     assert issubclass(modsym.OperatorTooLarge, MemoryError)
+
+
+def test_operator_guard_counts_sign_blocks(level1, cfg, monkeypatch):
+    """L and L_log as sign blocks take 8 n^2 bytes, half of dense storage:
+    a memory between 8 n^2 and 16 n^2 constructs, one below 8 n^2 refuses."""
+    n = 2 * level1.table.size * (cfg.collocation_degree + 1)
+    for have, fits in ((12 * n * n, True), (7 * n * n, False)):
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        if fits:
+            assert 2 * TransferOperator(level1, cfg).assemble([], 1.0).nbytes == 8 * n * n
+        else:
+            with pytest.raises(OperatorTooLarge):
+                TransferOperator(level1, cfg)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 11])
+@pytest.mark.parametrize("tail", ["zeta-tail", "truncate"])
+@pytest.mark.parametrize("with_log", [False, True])
+def test_sign_blocks_equal_dense_oracle(N, tail, with_log):
+    """assemble's sign blocks are bitwise the off-diagonal blocks of the
+    edge-by-edge dense L, whose same-sign blocks are zero."""
+    level = _level(N)
+    cfg = NumericsConfig(tail_mode=tail)
+    op = TransferOperator(level, cfg)
+    t = np.linspace(-0.07, 0.05, level.two_g)
+    kappa, n = level.table.size, cfg.collocation_degree + 1
+    for beta in (0.7, 1.3):
+        S = op.assemble(t, beta, with_log)
+        L = dense_oracle(level, cfg, t, beta, with_log).reshape(kappa, 2, n, kappa, 2, n)
+        assert S.shape == (2, kappa * n, kappa * n)
+        for k, (row_sign, col_sign) in enumerate(((0, 1), (1, 0))):
+            assert np.array_equal(S[k], L[:, row_sign, :, :, col_sign, :].reshape(S[k].shape))
+            assert not L[:, k, :, :, k, :].any()
+
+
+@given(N=st.sampled_from([1, 2, 3, 5, 6]), seed=st.integers(0, 2**32 - 1),
+       with_log=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_block_apply_equals_dense(N, seed, with_log):
+    """Applying L as [S[0] x-; S[1] x+] agrees with dense(S) @ x within the
+    rounding bound n eps (|L| @ |x|) of a length-n dot product."""
+    level = _level(N)
+    rng = np.random.default_rng(seed)
+    op = TransferOperator(level, NumericsConfig())
+    S = op.assemble(rng.uniform(-0.2, 0.2, level.two_g), rng.uniform(0.6, 2.0), with_log)
+    M = dense(S)
+    x = rng.normal(size=M.shape[0])
+    bound = M.shape[0] * np.finfo(float).eps * (np.abs(M) @ np.abs(x))
+    assert (np.abs(thermo._apply(S, x) - M @ x) <= bound).all()
 
 
 def test_discretization_stability(level11):
