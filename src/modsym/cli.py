@@ -250,10 +250,11 @@ def _cmd_spectrum(args):
         grid = [s * direction for s in np.linspace(lo, hi, count)]
         points, errors = spectrum.spectrum_curve(level, grid, cfg)
         if errors:
-            print(
-                json.dumps({"warnings": {str(k): repr(v) for k, v in errors.items()}}),
-                file=sys.stderr,
-            )
+            warnings = {
+                str(i): {"error": type(exc).__name__, "detail": str(exc), "t": list(grid[i])}
+                for i, exc in errors.items()
+            }
+            print(json.dumps({"warnings": warnings}), file=sys.stderr)
     data = {
         "points": [
             {

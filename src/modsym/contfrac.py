@@ -167,10 +167,8 @@ def expand(x: CFInput, n: int) -> SignedWord:
 
 def decorate(table: CosetTable, digits: Iterable[int], e1: int) -> tuple[tuple[int, int], ...]:
     """Entries (d_k, e_k) of a digit word from coset e1, e_{k+1} = tau_{d_k}(e_k)."""
-    if not 0 <= e1 < table.size:
-        raise ValueError(f"coset label {e1} out of range for level {table.level}")
     entries = []
-    e = e1
+    e = table.check_label(e1)
     for d in digits:
         entries.append((d, e))
         e = table.tau(d, e)

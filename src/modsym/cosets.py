@@ -185,11 +185,17 @@ class CosetTable:
     def identity_label(self) -> int:
         return self.label_of_row(0, 1)
 
+    def check_label(self, e: int) -> int:
+        """e, or ValueError when it is not a coset label of this level."""
+        if not 0 <= e < len(self.reps):
+            raise ValueError(f"coset label {e} out of range for level {self.level}")
+        return e
+
     def tau(self, k: int, e: int) -> int:
         """Coset action of the digit k: label of e * S * T^k."""
         if k == 0:
             raise ZeroDigit("tau is undefined for digit 0")
-        return self.tau_row(k % self.level)[e]
+        return self.tau_row(k % self.level)[self.check_label(e)]
 
     def tau_row(self, r: int) -> list[int]:
         """Permutation of labels induced by any digit congruent to r mod N."""

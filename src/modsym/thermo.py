@@ -10,9 +10,10 @@ per-word hyperbolic traces when the word count is small, otherwise a
 uniform-grid function iteration) and serves as an independent
 cross-check.  The collocation operator and the grid iteration both read
 their edge families from the level's ``shiftspace.TransitionGraph``.
-The vertex graph is bipartite in the sign coordinate, so the operator is
-stored as its two off-diagonal sign blocks, and eigen-data comes from
-their product, one sign block of the squared operator.
+The vertex graph is bipartite in the sign coordinate, so the operator has
+two nonzero sign blocks, and eigen-data comes from their product, one
+sign block of the squared operator.  Neither block is formed: each is
+applied from its N digit-class blocks by gathering source cosets.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import zeta as hurwitz_zeta
 
 from .contfrac import SignedWord
 from .cosets import CosetTable
@@ -54,7 +53,7 @@ class MomentCheckError(RuntimeError):
 
 
 class OperatorTooLarge(MemoryError):
-    """The collocation matrices would not fit in physical memory."""
+    """The collocation class blocks would not fit in physical memory."""
 
 
 ENUM_LIMIT = 2_000_000  # word-count bound for exact cylinder enumeration
@@ -236,6 +235,8 @@ def _diff_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _zeta_sprime(s: float, q: np.ndarray) -> np.ndarray:
     # derivative of the Hurwitz zeta in s, by central difference
+    from scipy.special import zeta as hurwitz_zeta
+
     h = 1e-6
     return (hurwitz_zeta(s + h, q) - hurwitz_zeta(s - h, q)) / (2 * h)
 
@@ -251,6 +252,8 @@ def _digit_class(a0: int, N: int, K: int, y: np.ndarray):
 def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.ndarray:
     """Sum over a = a_first, a_first + N, ... of (a + y)^{-s}, or its
     -d/dbeta (for s = 2 beta + j) when log weights are requested."""
+    from scipy.special import zeta as hurwitz_zeta
+
     if not with_log:
         return N ** (-s) * hurwitz_zeta(s, q)
     return 2 * math.log(N) * N ** (-s) * hurwitz_zeta(s, q) \
@@ -286,40 +289,93 @@ def _class_geometry(N: int, K: int, m: int):
     return tuple(classes), q, d0, d0_2
 
 
+@dataclass(frozen=True, eq=False)
+class OperatorBlocks:
+    """A collocation operator at one (t, beta), applied without forming it.
+
+    Sign block k maps one sign half of x = [x+; x-] to the other: block 0
+    is L[+, -] (sources (e, -1)), block 1 is L[-, +] (sources (e, +1)).
+    In either block the residue-r edge family carries coset e to
+    ``targets[e, r]``, a permutation of the cosets inverted by
+    ``sources``, and its block is one class block for every e.
+    ``stacks[k]`` holds those N class blocks of block k in residue order,
+    each transposed, so block k of L gathers the scaled source cosets and
+    multiplies once.  ``T`` is L.T, whose block k is block 1 - k of L
+    transposed: it gathers by ``targets``, multiplies by the untransposed
+    stack and scales the rows.
+    """
+
+    stacks: np.ndarray    # (2, N (m+1), m+1)
+    scalars: np.ndarray   # (kappa,): exp((t|J(e))) per source coset e
+    sources: np.ndarray   # (kappa, N), shared with the TransferOperator
+    targets: np.ndarray   # (kappa, N), shared with the TransferOperator
+    transposed: bool = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this handle owns: class blocks and scalars."""
+        return self.stacks.nbytes + self.scalars.nbytes
+
+    @property
+    def T(self) -> "OperatorBlocks":
+        """The transposed operator, sharing the index arrays."""
+        two, rows, npts = self.stacks.shape
+        swapped = self.stacks[::-1].reshape(two, rows // npts, npts, npts)
+        return replace(self, stacks=swapped.transpose(0, 1, 3, 2).reshape(two, rows, npts),
+                       transposed=not self.transposed)
+
+    def apply(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Sign block k applied to x, one sign half of kappa (m+1) entries."""
+        kappa = self.scalars.size
+        X = x.reshape(kappa, -1)
+        if self.transposed:
+            gathered = X[self.targets].reshape(kappa, -1)
+            return (self.scalars[:, None] * (gathered @ self.stacks[k])).ravel()
+        gathered = (self.scalars[:, None] * X)[self.sources].reshape(kappa, -1)
+        return (gathered @ self.stacks[k]).ravel()
+
+
 class TransferOperator:
     """Chebyshev-collocation discretization at one level.
 
-    Functions live on vertex x node.  The vertex graph is bipartite in
-    sign, so L is stored as its two off-diagonal sign blocks:
-    ``S[0] = L[+, -]`` (sources (e, -1)) and ``S[1] = L[-, +]``
-    (sources (e, +1)), each with cosets in label order and the nodes of
-    one coset contiguous.  A vector x = [x+; x-] follows the same order.
-    The edge families come from ``level.graph``; the block of an edge
+    Functions live on vertex x node as x = [x+; x-], each half with
+    cosets in label order and the nodes of one coset contiguous.  The
+    edge families come from ``level.graph``; the block of an edge
     depends on its digit class only through the smallest magnitude
-    a0 = abs(digit), so blocks are shared across cosets.  Construction
-    refuses, with ``OperatorTooLarge``, a level whose sign blocks of L
-    and L_log would not fit in physical memory.
+    a0 = abs(digit), so ``assemble`` builds the N class blocks and
+    returns an ``OperatorBlocks`` that applies L from them.  Construction
+    refuses, with ``OperatorTooLarge``, a level whose class blocks and
+    gather buffer would not fit in physical memory.
     """
 
     def __init__(self, level: LevelData, cfg: NumericsConfig):
-        m = cfg.collocation_degree
-        kappa = level.table.size
-        n = 2 * kappa * (m + 1)
-        need = 8 * n * n   # two sign blocks of (n/2)^2 float64 each, for L and L_log
+        npts = cfg.collocation_degree + 1
+        kappa, N = level.table.size, level.level
+        # class blocks of both sign blocks, plus one kappa x N x (m+1) gather buffer
+        need = 8 * N * npts * (2 * npts + kappa)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
+            n = 2 * kappa * npts
             raise OperatorTooLarge(
-                f"N={level.level}: the sign blocks of L and L_log ({n}x{n} float64) "
-                f"need {need} bytes, physical memory is {have} bytes"
+                f"N={N}: L ({n}x{n} float64, applied matrix-free) needs {need} bytes "
+                f"for its class blocks and gather buffer, physical memory is {have} bytes"
             )
         self.level = level
         self.cfg = cfg
-        self.nodes = _lobatto_nodes(m)
-        # [e, k, r]: target coset and class index a0 - 1 of the residue-r edge
-        # leaving coset e into block k; source vertex 2e + 1 feeds k = 0
-        edges = np.array(level.graph.edges).reshape(kappa, 2, level.level, 2)[:, ::-1]
-        self.targets = edges[..., 0] // 2
-        self.edge_class = np.abs(edges[..., 1]) - 1
+        self.nodes = _lobatto_nodes(cfg.collocation_degree)
+        # [k, e, r]: target coset and class index a0 - 1 of the residue-r edge
+        # leaving coset e into sign block k; source vertex 2e + 1 feeds k = 0
+        _, dst, digit = level.graph.edge_arrays
+        dst = dst.reshape(kappa, 2, N)[:, ::-1].transpose(1, 0, 2) // 2
+        cls = np.abs(digit.reshape(kappa, 2, N)[:, ::-1].transpose(1, 0, 2)) - 1
+        if (cls != cls[:, :1]).any():
+            raise AssertionError(f"N={N}: an edge's digit class depends on its source coset")
+        if (dst != dst[0]).any() or (np.sort(dst[0], axis=0) != np.arange(kappa)[:, None]).any():
+            raise AssertionError(f"N={N}: a residue does not permute the cosets alike in both signs")
+        self.residue_class = cls[:, 0]     # (2, N)
+        self.targets = np.ascontiguousarray(dst[0])
+        self.sources = np.empty_like(self.targets)
+        self.sources[self.targets, np.arange(N)] = np.arange(kappa)[:, None]
 
     def _class_blocks(self, beta: float, with_log: bool) -> np.ndarray:
         """(N, m+1, m+1): the block of smallest magnitude a0 at index a0 - 1."""
@@ -344,38 +400,28 @@ class TransferOperator:
             blocks += _class_tail(s0 + 2.0, N, q, with_log)[:, :, None] * (d0_2 / 2.0)
         return blocks
 
-    def assemble(self, t, beta: float, with_log: bool = False) -> np.ndarray:
-        """Sign blocks S of L (or of L_log), shape (2, kappa (m+1), kappa (m+1))."""
+    def assemble(self, t, beta: float, with_log: bool = False) -> OperatorBlocks:
+        """L (or L_log) at (t, beta), as class blocks applied matrix-free."""
         if beta <= 0.5:
             raise BetaOutOfDomain(f"beta must exceed 1/2, got {beta}")
-        level = self.level
-        t = _as_t_vector(level, t)
+        t = _as_t_vector(self.level, t)
         blocks = self._class_blocks(beta, with_log)
-        scalars = _coset_scalars(level, t)[:, None, None]
-        kappa, npts = level.table.size, self.nodes.size
-        S = np.zeros((2, kappa * npts, kappa * npts))
-        src = np.arange(kappa)
-        for k in (0, 1):
-            cells = S[k].reshape(kappa, npts, kappa, npts)
-            # one edge per source and residue, so no cell repeats within a residue
-            for dst, cls in zip(self.targets[:, k].T, self.edge_class[:, k].T):
-                cells[dst, :, src, :] += scalars * blocks[cls]
-        return S
+        npts = self.nodes.size
+        stacks = blocks.transpose(0, 2, 1)[self.residue_class].reshape(2, -1, npts)
+        return OperatorBlocks(stacks, _coset_scalars(self.level, t), self.sources, self.targets)
 
-    def leading(self, S: np.ndarray):
+    def leading(self, S: OperatorBlocks):
         """Perron root lam and positive eigenvector h = [h+; h-] of the
-        operator with sign blocks S.  For the left vector pass
-        ``S[::-1].transpose(0, 2, 1)``, the sign blocks of L.T.
+        operator S; pass ``S.T`` for the left vector.
 
-        Power iteration on S[0] S[1], the (+, +) block of L^2, then the
-        lift h = [v; S[1] v / lam] of its vector v to an eigenvector of L.
+        Power iteration on S_0 S_1, the (+, +) block of S^2, then the
+        lift h = [v; S_1 v / lam] of its vector v to an eigenvector of S.
         """
-        A, B = S
         tol = self.cfg.tolerance
-        v = np.ones(A.shape[0])
+        v = np.ones(self.level.table.size * self.nodes.size)
         lam2_old = 0.0
         for _ in range(5000):
-            w = A @ (B @ v)
+            w = S.apply(0, S.apply(1, v))
             lam2 = w.max()
             if lam2 <= 0 or not np.isfinite(lam2):
                 raise NoConvergence("iteration lost positivity")
@@ -383,15 +429,15 @@ class TransferOperator:
             if abs(lam2 - lam2_old) <= tol * max(lam2, 1e-300) \
                     and np.abs(w - v).max() <= 100 * tol:
                 lam = math.sqrt(lam2)
-                return lam, np.concatenate([w, (B @ w) / lam])
+                return lam, np.concatenate([w, S.apply(1, w) / lam])
             lam2_old, v = lam2, w
         raise NoConvergence("power iteration cap reached")
 
 
-def _apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L @ x for the operator with sign blocks S and x = [x+; x-]."""
-    half = S.shape[1]
-    return np.concatenate([S[0] @ x[half:], S[1] @ x[:half]])
+def _apply(S: OperatorBlocks, x: np.ndarray) -> np.ndarray:
+    """S @ x for x = [x+; x-]."""
+    half = x.size // 2
+    return np.concatenate([S.apply(0, x[half:]), S.apply(1, x[:half])])
 
 
 def pressure_collocation(level: LevelData, t, beta: float,
@@ -406,6 +452,8 @@ def pressure_collocation(level: LevelData, t, beta: float,
 
 def solve_beta(level: LevelData, t, cfg: NumericsConfig | None = None) -> float:
     """Root of P(t, .) = 0, by bracketed Brent iteration."""
+    from scipy.optimize import brentq
+
     cfg = cfg or NumericsConfig()
     op = TransferOperator(level, cfg)
     evaluated: dict[float, float] = {}
@@ -444,7 +492,7 @@ def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None) -> Gib
     op = TransferOperator(level, cfg)
     S = op.assemble(t, beta)
     lam, h = op.leading(S)
-    _, nu = op.leading(S[::-1].transpose(0, 2, 1))
+    _, nu = op.leading(S.T)
     denom = lam * float(nu @ h)
 
     mean_i = float(nu @ _apply(op.assemble(t, beta, with_log=True), h)) / denom

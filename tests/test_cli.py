@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modsym
 from modsym.cli import main
 
 
@@ -137,6 +142,31 @@ def test_spectrum_wrong_direction_length_exit_1(capsys):
         )
         assert code == 1
         assert json.loads(out)["error"] == "ValueError"
+
+
+def test_spectrum_failing_point_warns_typed_record(capsys):
+    """A grid point whose pressure stays positive up to beta_max is left out
+    of the points and reported on stderr as an {error, detail, t} record;
+    stdout is what the grid without that point prints."""
+    assert main(["spectrum", "--level", "11", "--grid=0:40:2"]) == 0
+    out, err = capsys.readouterr()
+    warning = json.loads(err)["warnings"]["1"]
+    assert set(warning) == {"error", "detail", "t"}
+    assert warning["error"] == "BracketFailure"
+    assert warning["detail"].startswith("no negative pressure up to beta=8.0")
+    assert warning["t"] == [40.0, 0.0]
+    assert main(["spectrum", "--level", "11", "--grid=0:0:1"]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by the numerics that call it, not by the CLI."""
+    code = "import sys, modsym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(modsym.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_periodic_symbol_bad_start_exit_1(capsys):

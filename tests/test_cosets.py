@@ -95,6 +95,14 @@ def test_tau_zero_digit():
         CosetTable(5).tau(0, 0)
 
 
+def test_tau_rejects_out_of_range_labels():
+    """A negative label would wrap around the permutation list."""
+    table = CosetTable(11)
+    for e in (-1, -table.size, table.size):
+        with pytest.raises(ValueError, match=rf"^coset label {e} out of range for level 11$"):
+            table.tau(1, e)
+
+
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-40, max_value=40))
 @settings(max_examples=60)
 def test_tau_matches_matrix_action(N, k):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import modsym
 from modsym.contfrac import CFInput, SymbolSequence
 from modsym import spectrum
 from modsym.psl2 import word_to_matrix
@@ -200,3 +205,21 @@ def test_legendre_damps_on_moment_check_error(level11, monkeypatch):
 def test_legendre_level1(level1, cfg):
     pt = legendre(level1, [], cfg)
     assert pt.t.size == 0 and abs(pt.dimension - 1) < 1e-3
+
+
+def test_coset_cycle_word_rejects_out_of_range_label():
+    """A negative start label once looped forever: the cycle from it never
+    came back to the wrapped-around label.  Run in a child process with a
+    timeout, so a hang fails the test instead of stalling the suite."""
+    code = (
+        "from modsym import build_level_data, coset_cycle_word\n"
+        "try:\n"
+        "    coset_cycle_word(build_level_data(11), -1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modsym.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "coset label -1 out of range for level 11\n"

@@ -31,9 +31,9 @@ GOLDEN_I = 2 * math.log((3 + math.sqrt(5)) / 2)
 
 
 def dense(S):
-    """The operator with sign blocks S as one matrix on [x+; x-]."""
-    zero = np.zeros_like(S[0])
-    return np.block([[zero, S[0]], [S[1], zero]])
+    """The operator S as one matrix on [x+; x-], column by column from its applies."""
+    n = 2 * S.scalars.size * S.stacks.shape[-1]
+    return np.column_stack([thermo._apply(S, unit) for unit in np.eye(n)])
 
 
 def dense_oracle(level, cfg, t, beta, with_log):
@@ -69,6 +69,18 @@ def dense_oracle(level, cfg, t, beta, with_log):
         for dst, digit in row:
             L[dst * n:(dst + 1) * n, cols] += scalars[src // 2] * blocks[abs(digit)]
     return L
+
+
+def oracle_pm(level, cfg, t, beta, with_log):
+    """dense_oracle reordered to [x+; x-], the layout of the applies."""
+    kappa, n = level.table.size, cfg.collocation_degree + 1
+    L = dense_oracle(level, cfg, t, beta, with_log).reshape(kappa, 2, n, kappa, 2, n)
+    return L.transpose(1, 0, 2, 4, 3, 5).reshape(2 * kappa * n, 2 * kappa * n)
+
+
+def within_rounding(A, L):
+    """|A - L| <= n eps |L| entrywise, the bound n eps (|L| @ |x|) at x = unit vectors."""
+    return (np.abs(A - L) <= L.shape[0] * np.finfo(float).eps * np.abs(L)).all()
 
 
 @lru_cache(maxsize=None)
@@ -143,11 +155,10 @@ def test_pressure_monotone_in_beta(level11, cfg):
 def test_collocation_matches_gkw_eigenfunction(level1, cfg):
     """At beta=1 the operator fixes 1/(1+y) with eigenvalue 1 (Gauss-Kuzmin)."""
     op = TransferOperator(level1, cfg)
-    L = dense(op.assemble([], 1.0))
     nodes = op.nodes
     f = 1.0 / (1.0 + nodes)
     vec = np.concatenate([f, f])  # both sign vertices carry the density
-    out = L @ vec
+    out = thermo._apply(op.assemble([], 1.0), vec)
     assert np.abs(out - vec).max() < 1e-6
 
 
@@ -176,14 +187,14 @@ def test_edge_classes_partition_the_digits(level1, cfg):
 
 @pytest.mark.parametrize("N", [1, 2, 11])
 def test_leading_right_and_left_perron_vectors(N, cfg):
-    """leading on the sign blocks of L and of L.T each returns a positive
-    eigenvector of its matrix, with Perron roots that agree."""
+    """leading on L and on L.T each returns a positive eigenvector of its
+    matrix, with Perron roots that agree."""
     level = build_level_data(N)
     op = TransferOperator(level, cfg)
     t = np.full(level.two_g, 0.05)
     S = op.assemble(t, 1.0)
     roots = []
-    for blocks in (S, S[::-1].transpose(0, 2, 1)):
+    for blocks in (S, S.T):
         lam, h = op.leading(blocks)
         M = dense(blocks)
         assert (h > 0).all()
@@ -198,54 +209,76 @@ def test_operator_too_large_refused_before_allocating(level1):
     assert issubclass(modsym.OperatorTooLarge, MemoryError)
 
 
-def test_operator_guard_counts_sign_blocks(level1, cfg, monkeypatch):
-    """L and L_log as sign blocks take 8 n^2 bytes, half of dense storage:
-    a memory between 8 n^2 and 16 n^2 constructs, one below 8 n^2 refuses."""
-    n = 2 * level1.table.size * (cfg.collocation_degree + 1)
-    for have, fits in ((12 * n * n, True), (7 * n * n, False)):
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
-        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        if fits:
-            assert 2 * TransferOperator(level1, cfg).assemble([], 1.0).nbytes == 8 * n * n
-        else:
-            with pytest.raises(OperatorTooLarge):
-                TransferOperator(level1, cfg)
+def test_operator_guard_counts_sign_blocks(cfg, monkeypatch):
+    """The footprint is the class blocks of both sign blocks, 2 N (m+1)^2
+    floats, plus one kappa N (m+1) gather buffer: a memory just above it
+    constructs, one just below refuses.  The handle owns the class blocks
+    and the kappa coset scalars."""
+    npts = cfg.collocation_degree + 1
+    for N in (1, 11):
+        level = _level(N)
+        kappa = level.table.size
+        need = 8 * (2 * N * npts * npts + kappa * N * npts)
+        for have, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+            if fits:
+                S = TransferOperator(level, cfg).assemble(np.zeros(level.two_g), 1.0)
+                assert S.nbytes == 8 * (2 * N * npts * npts + kappa)
+            else:
+                with pytest.raises(OperatorTooLarge):
+                    TransferOperator(level, cfg)
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 11])
 @pytest.mark.parametrize("tail", ["zeta-tail", "truncate"])
 @pytest.mark.parametrize("with_log", [False, True])
 def test_sign_blocks_equal_dense_oracle(N, tail, with_log):
-    """assemble's sign blocks are bitwise the off-diagonal blocks of the
-    edge-by-edge dense L, whose same-sign blocks are zero."""
+    """L and L.T, built column by column from the applies, are the
+    edge-by-edge dense L and its transpose within the rounding bound of
+    a length-n dot product; the same-sign blocks are exactly zero."""
     level = _level(N)
     cfg = NumericsConfig(tail_mode=tail)
     op = TransferOperator(level, cfg)
     t = np.linspace(-0.07, 0.05, level.two_g)
-    kappa, n = level.table.size, cfg.collocation_degree + 1
+    half = level.table.size * (cfg.collocation_degree + 1)
     for beta in (0.7, 1.3):
         S = op.assemble(t, beta, with_log)
-        L = dense_oracle(level, cfg, t, beta, with_log).reshape(kappa, 2, n, kappa, 2, n)
-        assert S.shape == (2, kappa * n, kappa * n)
-        for k, (row_sign, col_sign) in enumerate(((0, 1), (1, 0))):
-            assert np.array_equal(S[k], L[:, row_sign, :, :, col_sign, :].reshape(S[k].shape))
-            assert not L[:, k, :, :, k, :].any()
+        L = oracle_pm(level, cfg, t, beta, with_log)
+        assert not L[:half, :half].any() and not L[half:, half:].any()
+        assert within_rounding(dense(S), L)
+        assert within_rounding(dense(S.T), L.T)
 
 
 @given(N=st.sampled_from([1, 2, 3, 5, 6]), seed=st.integers(0, 2**32 - 1),
        with_log=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_block_apply_equals_dense(N, seed, with_log):
-    """Applying L as [S[0] x-; S[1] x+] agrees with dense(S) @ x within the
+    """Applying L matrix-free agrees with the dense oracle L @ x within the
     rounding bound n eps (|L| @ |x|) of a length-n dot product."""
     level = _level(N)
     rng = np.random.default_rng(seed)
-    op = TransferOperator(level, NumericsConfig())
-    S = op.assemble(rng.uniform(-0.2, 0.2, level.two_g), rng.uniform(0.6, 2.0), with_log)
-    M = dense(S)
+    cfg = NumericsConfig()
+    op = TransferOperator(level, cfg)
+    t, beta = rng.uniform(-0.2, 0.2, level.two_g), rng.uniform(0.6, 2.0)
+    S = op.assemble(t, beta, with_log)
+    M = oracle_pm(level, cfg, t, beta, with_log)
     x = rng.normal(size=M.shape[0])
     bound = M.shape[0] * np.finfo(float).eps * (np.abs(M) @ np.abs(x))
     assert (np.abs(thermo._apply(S, x) - M @ x) <= bound).all()
+
+
+def test_level_210_pressure_equals_gauss_pressure(level1, cfg):
+    """At t = 0 the coset-constant functions are invariant and the digit
+    classes partition the digits, so the pressure at N=210 equals the N=1
+    pressure.  Here 2 kappa (m+1) = 28800: the dense sign blocks of L and
+    L_log would take 6.6 GB, the class blocks and gather buffer take 26 MB."""
+    level = build_level_data(210)
+    assert level.table.size == 576
+    op = TransferOperator(level, cfg)
+    for beta in (0.8, 1.3):
+        gauss = pressure_collocation(level1, [], beta, cfg).value
+        assert abs(pressure_collocation(level, [], beta, cfg, _op=op).value - gauss) <= 1e-9
 
 
 def test_discretization_stability(level11):
