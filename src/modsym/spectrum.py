@@ -27,7 +27,7 @@ from .thermo import (
     NoConvergence,
     NumericsConfig,
     _as_t_vector,
-    beta_hessian,
+    _beta_hessian,
     gibbs_moments,
     potential_I_on_cylinder,
 )
@@ -117,7 +117,7 @@ def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
             dim = mom.beta - float(t @ alpha)
             return SpectrumPoint(t, mom.alpha, mom.beta, dim)
         try:
-            delta = np.linalg.solve(beta_hessian(level, t, cfg), -resid)
+            delta = np.linalg.solve(_beta_hessian(level, t, mom.beta, cfg), -resid)
         except np.linalg.LinAlgError as exc:
             raise AlphaOutOfRange(f"degenerate alpha Jacobian at t={t}") from exc
         lam = 1.0

@@ -450,80 +450,121 @@ def pressure_collocation(level: LevelData, t, beta: float,
     return PressureEstimate(math.log(lam), cfg.provenance("collocation", beta=beta))
 
 
-def solve_beta(level: LevelData, t, cfg: NumericsConfig | None = None) -> float:
-    """Root of P(t, .) = 0, by bracketed Brent iteration."""
-    from scipy.optimize import brentq
+@dataclass(frozen=True, eq=False)
+class _PerronPair:
+    """Leading eigen-data of L at one (t, beta).
 
-    cfg = cfg or NumericsConfig()
-    op = TransferOperator(level, cfg)
+    ``S`` and ``S_log`` are L and L_log = -dL/dbeta, ``lam`` the Perron
+    root, ``h`` and ``nu`` the right and left Perron vectors scaled so
+    that lam (nu | h) = 1, and ``mean_i`` = -dP/dbeta by first-order
+    perturbation of lam.
+    """
+
+    beta: float
+    S: OperatorBlocks
+    S_log: OperatorBlocks
+    lam: float
+    h: np.ndarray
+    nu: np.ndarray
+    mean_i: float
+
+    @classmethod
+    def solve(cls, op: TransferOperator, beta: float, S: OperatorBlocks,
+              S_log: OperatorBlocks) -> "_PerronPair":
+        lam, h = op.leading(S)
+        _, nu = op.leading(S.T)
+        nu = nu / (lam * float(nu @ h))
+        mean_i = float(nu @ _apply(S_log, h))
+        if mean_i <= 0:
+            raise NoConvergence("nonpositive expansion moment")
+        return cls(beta, S, S_log, lam, h, nu, mean_i)
+
+    @classmethod
+    def at(cls, op: TransferOperator, t: np.ndarray, beta: float) -> "_PerronPair":
+        return cls.solve(op, beta, op.assemble(t, beta), op.assemble(t, beta, with_log=True))
+
+    def shifted(self, op: TransferOperator, t: np.ndarray) -> "_PerronPair":
+        """The pair at (t, beta) for another t: only the coset scalars
+        depend on t, so the class blocks are reused as they are."""
+        scalars = _coset_scalars(op.level, t)
+        return self.solve(op, self.beta, replace(self.S, scalars=scalars),
+                          replace(self.S_log, scalars=scalars))
+
+    def mean_j(self, level: LevelData) -> np.ndarray:
+        """dP/dt: the averages of the homology potentials J_i."""
+        npts = self.h.size // (2 * level.table.size)
+        scales = (np.tile(np.repeat(j, npts), 2) for j in level.j_values.T)
+        return np.array([float(self.nu @ _apply(self.S, scale * self.h)) for scale in scales])
+
+
+def _root(op: TransferOperator, t: np.ndarray) -> _PerronPair:
+    """Root of P(t, .) = 0 with its Perron pair, by Newton steps
+    beta <- beta + P / mean_i from beta = 1.
+
+    P is convex and decreasing in beta, and P(t, 1) >= P(0, 1) = 0 by
+    convexity in t with mean_j(0) = 0, so the iterates climb to the root.
+    Steps are kept inside [beta_min, beta_max]; ``BracketFailure`` when
+    the root lies beyond either end.
+    """
+    cfg = op.cfg
+    xtol = min(cfg.tolerance, 1e-9)
+    ptol = 10 * max(cfg.tolerance, 1e-12)
+    beta = min(max(1.0, cfg.beta_min), cfg.beta_max)
     evaluated: dict[float, float] = {}
+    for _ in range(100):
+        pair = _PerronPair.at(op, t, beta)
+        P = evaluated[beta] = math.log(pair.lam)
+        step = P / pair.mean_i
+        if abs(step) <= xtol and abs(P) <= ptol:
+            return pair
+        if step > 0 and beta >= cfg.beta_max:
+            raise BracketFailure(f"no negative pressure up to beta={beta}: {evaluated}")
+        if step < 0 and beta <= cfg.beta_min:
+            raise BracketFailure(f"no positive pressure down to beta={beta}: {evaluated}")
+        beta = min(max(beta + step, cfg.beta_min), cfg.beta_max)
+    raise BracketFailure(f"residual {P} too large at beta={pair.beta}")
 
-    def P(beta):
-        if beta not in evaluated:
-            evaluated[beta] = pressure_collocation(level, t, beta, cfg, _op=op).value
-        return evaluated[beta]
 
-    lo = max(cfg.beta_min, min(0.8, cfg.beta_max))
-    hi = min(cfg.beta_max, 1.3)
-    while P(lo) <= 0.0:
-        if lo <= cfg.beta_min + 1e-12:
-            raise BracketFailure(f"no positive pressure down to beta={lo}: {evaluated}")
-        lo = max(cfg.beta_min, lo - 0.15)
-    while P(hi) >= 0.0:
-        if hi >= cfg.beta_max:
-            raise BracketFailure(f"no negative pressure up to beta={hi}: {evaluated}")
-        hi = min(cfg.beta_max, hi + 0.5)
-    root = brentq(P, lo, hi, xtol=min(cfg.tolerance, 1e-9), rtol=8.9e-16)
-    if abs(P(root)) > 10 * max(cfg.tolerance, 1e-12):
-        raise BracketFailure(f"residual {P(root)} too large at beta={root}")
-    return float(root)
+def solve_beta(level: LevelData, t, cfg: NumericsConfig | None = None) -> float:
+    """Root of P(t, .) = 0, by Newton steps on the Perron pair."""
+    cfg = cfg or NumericsConfig()
+    return _root(TransferOperator(level, cfg), _as_t_vector(level, t)).beta
 
 
 def gibbs_moments(level: LevelData, t, cfg: NumericsConfig | None = None) -> GibbsMoments:
     """Stationary averages of the two potentials at (t, beta_G(t)).
 
-    Computed from left/right Perron vectors by first-order perturbation
-    of the leading eigenvalue, then checked against finite differences
-    of the pressure (``MomentCheckError`` when they disagree).
+    Computed from the left/right Perron vectors at the root by
+    first-order perturbation of the leading eigenvalue, then checked
+    against finite differences of the pressure (``MomentCheckError``
+    when they disagree).
     """
     cfg = cfg or NumericsConfig()
     t = _as_t_vector(level, t)
-    beta = solve_beta(level, t, cfg)
-    op = TransferOperator(level, cfg)
-    S = op.assemble(t, beta)
-    lam, h = op.leading(S)
-    _, nu = op.leading(S.T)
-    denom = lam * float(nu @ h)
-
-    mean_i = float(nu @ _apply(op.assemble(t, beta, with_log=True), h)) / denom
-    if mean_i <= 0:
-        raise NoConvergence("nonpositive expansion moment")
-
-    npts = op.nodes.size
-    mean_j = np.zeros(level.two_g)
-    for i in range(level.two_g):
-        scale = np.tile(np.repeat(level.j_values[:, i], npts), 2)
-        mean_j[i] = float(nu @ _apply(S, scale * h)) / denom
-
-    _check_moments(level, t, beta, cfg, mean_j, mean_i)
-
-    alpha = mean_j / mean_i
-    return GibbsMoments(mean_j, mean_i, alpha, beta,
-                        cfg.provenance("collocation-moments", beta=beta))
+    root = _root(TransferOperator(level, cfg), t)
+    mean_j = root.mean_j(level)
+    _check_moments(level, t, root, cfg, mean_j)
+    return GibbsMoments(mean_j, root.mean_i, mean_j / root.mean_i, root.beta,
+                        cfg.provenance("collocation-moments", beta=root.beta))
 
 
-def _check_moments(level, t, beta, cfg, mean_j, mean_i):
+def _check_moments(level, t, root, cfg, mean_j):
     h = 1e-4
     tol = max(10 * cfg.tolerance, 1e-6)
+    beta, mean_i = root.beta, root.mean_i
     # a central difference turns a stopping error eps of each pressure into
     # eps / h in the derivative, so these pressures are solved to h * tol / 10
     fd_cfg = replace(cfg, tolerance=min(cfg.tolerance, h * tol / 10))
     fd_op = TransferOperator(level, fd_cfg)
 
-    def P(tv, bv):
-        return pressure_collocation(level, tv, bv, fd_cfg, _op=fd_op).value
+    def P_of_beta(bv):
+        return pressure_collocation(level, t, bv, fd_cfg, _op=fd_op).value
 
-    dPdb = (P(t, beta + h) - P(t, beta - h)) / (2 * h)
+    def P_of_t(tv):
+        # only the coset scalars depend on t: reuse the class blocks at the root
+        return math.log(fd_op.leading(replace(root.S, scalars=_coset_scalars(level, tv)))[0])
+
+    dPdb = (P_of_beta(beta + h) - P_of_beta(beta - h)) / (2 * h)
     if abs(-dPdb - mean_i) > tol * max(1.0, mean_i):
         raise MomentCheckError(
             f"d_beta P = {dPdb} vs -mean_i = {-mean_i} beyond tolerance {tol}"
@@ -531,7 +572,7 @@ def _check_moments(level, t, beta, cfg, mean_j, mean_i):
     for i in range(level.two_g):
         step = np.zeros(level.two_g)
         step[i] = h
-        dPdt = (P(t + step, beta) - P(t - step, beta)) / (2 * h)
+        dPdt = (P_of_t(t + step) - P_of_t(t - step)) / (2 * h)
         if abs(dPdt - mean_j[i]) > tol * max(1.0, abs(mean_j[i])):
             raise MomentCheckError(
                 f"d_t{i} P = {dPdt} vs mean_j = {mean_j[i]} beyond tolerance {tol}"
@@ -661,16 +702,36 @@ def pressure_cylinder(level: LevelData, t, beta: float,
 
 
 def beta_hessian(level: LevelData, t, cfg: NumericsConfig | None = None) -> np.ndarray:
-    """Finite-difference Hessian of beta_G: central differences of alpha(t)."""
+    """Hessian of beta_G at t, by implicit differentiation of P(t, beta_G(t)) = 0."""
     cfg = cfg or NumericsConfig()
-    t = _as_t_vector(level, t)
-    d = level.two_g
-    step = 2e-3
-    H = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = step
-        ap = gibbs_moments(level, t + ei, cfg).alpha
-        am = gibbs_moments(level, t - ei, cfg).alpha
-        H[:, i] = (ap - am) / (2 * step)
+    return _beta_hessian(level, _as_t_vector(level, t), solve_beta(level, t, cfg), cfg)
+
+
+def _beta_hessian(level: LevelData, t: np.ndarray, beta: float,
+                  cfg: NumericsConfig) -> np.ndarray:
+    """Hessian of beta_G at t, given beta = beta_G(t).
+
+    With P_beta = -mean_i and alpha = grad beta_G,
+    H = (P_tt + P_tbeta alpha^T + alpha P_tbeta^T + P_betabeta alpha alpha^T) / mean_i.
+    The second derivatives of P are central differences of the moments
+    at fixed beta: P_tt of mean_j and P_tbeta = -d mean_i / dt at t +- d e_k,
+    whose operators differ from the one at t only in their coset scalars,
+    and P_betabeta = -d mean_i / dbeta from one pair at beta +- d.
+    """
+    d = 1e-3  # truncation error about 4e-8 at N=11; the moments' stopping error grows by 1/d
+    op = TransferOperator(level, cfg)
+    pair = _PerronPair.at(op, t, beta)
+    alpha = pair.mean_j(level) / pair.mean_i
+    P_tt = np.zeros((level.two_g, level.two_g))
+    P_tb = np.zeros(level.two_g)
+    for k in range(level.two_g):
+        step = np.zeros(level.two_g)
+        step[k] = d
+        plus, minus = pair.shifted(op, t + step), pair.shifted(op, t - step)
+        P_tt[:, k] = (plus.mean_j(level) - minus.mean_j(level)) / (2 * d)
+        P_tb[k] = -(plus.mean_i - minus.mean_i) / (2 * d)
+    plus, minus = _PerronPair.at(op, t, beta + d), _PerronPair.at(op, t, beta - d)
+    P_bb = -(plus.mean_i - minus.mean_i) / (2 * d)
+    H = (P_tt + np.outer(P_tb, alpha) + np.outer(alpha, P_tb) + P_bb * np.outer(alpha, alpha)) \
+        / pair.mean_i
     return (H + H.T) / 2.0

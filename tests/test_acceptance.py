@@ -337,7 +337,7 @@ def test_criterion_13_convexity(level11, cfg):
         lam_min = float(np.linalg.eigvalsh(H).min())
         worst = min(worst, lam_min)
         ok = ok and lam_min > 0
-    _report(13, "finite-difference Hessian of beta_G positive definite, 10 samples",
+    _report(13, "Hessian of beta_G positive definite, 10 samples",
             ok, f"min eigenvalue = {worst:.4f}")
 
 

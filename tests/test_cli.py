@@ -169,6 +169,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_moments_leave_scipy_optimize_unloaded():
+    """The beta root is found by Newton steps in modsym: computing moments
+    loads scipy.special for the zeta tail, but no root finder."""
+    code = ("import sys\nfrom modsym.cli import main\n"
+            "assert main(['moments', '--level', '11']) == 0\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(modsym.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
+
+
 def test_periodic_symbol_bad_start_exit_1(capsys):
     code, out = run(
         capsys, "periodic-symbol", "--level", "11", "--digits=-1,1", "--start", "99"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import modsym
 from modsym import build_level_data, thermo
@@ -19,6 +20,7 @@ from modsym.thermo import (
     NumericsConfig,
     OperatorTooLarge,
     TransferOperator,
+    beta_hessian,
     gibbs_moments,
     hyperbolic_log_eigenvalue,
     potential_I_on_cylinder,
@@ -323,6 +325,79 @@ def test_solve_beta_origin(level11, cfg):
 def test_solve_beta_residual(level11, cfg):
     b = solve_beta(level11, [0.04, 0.02], cfg)
     assert abs(pressure_collocation(level11, [0.04, 0.02], b, cfg).value) <= 10 * cfg.tolerance
+
+
+def brent_root(level, t, cfg):
+    """beta_G(t) by bracketed Brent iteration on the collocation pressure."""
+    op = TransferOperator(level, cfg)
+    return brentq(lambda beta: pressure_collocation(level, t, beta, cfg, _op=op).value,
+                  0.8, 1.3, xtol=min(cfg.tolerance, 1e-9), rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+def test_newton_root_matches_brent_oracle(level11, tol, monkeypatch):
+    """The Newton root agrees with Brent's within twice Brent's xtol, in at
+    most 10 Perron solves (5 Newton steps of a right and a left vector)."""
+    cfg = NumericsConfig(tolerance=tol)
+    rng = np.random.default_rng(8)
+    solves = []
+    leading = TransferOperator.leading
+
+    def counted(self, S):
+        solves[-1] += 1
+        return leading(self, S)
+
+    for _ in range(30):
+        t = rng.uniform(-1, 1, 2)
+        t *= rng.uniform(0, 0.2) / np.linalg.norm(t)
+        solves.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(TransferOperator, "leading", counted)
+            beta = solve_beta(level11, t, cfg)
+        assert abs(beta - brent_root(level11, t, cfg)) <= 2 * min(tol, 1e-9)
+    assert max(solves) <= 10
+
+
+def test_bracket_failure_below_beta_min(level1):
+    """A root below beta_min is refused with the lower-end message."""
+    with pytest.raises(BracketFailure, match="no positive pressure down to beta=1.2"):
+        solve_beta(level1, [], NumericsConfig(beta_min=1.2))
+
+
+@given(t=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)))
+@settings(max_examples=10, deadline=None)
+def test_pressure_decreasing_and_convex_in_beta(level11, cfg, t):
+    """P(t, .) is strictly decreasing and convex on [0.7, 2], the two facts
+    that make the Newton iterates for beta_G climb monotonically to the root."""
+    op = TransferOperator(level11, cfg)
+    P = np.array([pressure_collocation(level11, t, beta, cfg, _op=op).value
+                  for beta in np.linspace(0.7, 2.0, 27)])
+    assert (np.diff(P) < 0).all()
+    assert np.diff(P, 2).min() >= -1e-9
+
+
+def fd_beta_hessian(level, t, cfg):
+    """Finite-difference Hessian of beta_G: central differences of alpha(t)."""
+    d = level.two_g
+    step = 2e-3
+    H = np.zeros((d, d))
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = step
+        ap = gibbs_moments(level, t + ei, cfg).alpha
+        am = gibbs_moments(level, t - ei, cfg).alpha
+        H[:, i] = (ap - am) / (2 * step)
+    return (H + H.T) / 2.0
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+def test_beta_hessian_matches_finite_difference_oracle(level11, tol):
+    """The implicit-function Hessian agrees with central differences of alpha."""
+    cfg = NumericsConfig(tolerance=tol)
+    for t in ([0.0, 0.0], [0.05, -0.02], [0.12, -0.16]):
+        t = np.array(t)
+        diff = beta_hessian(level11, t, cfg) - fd_beta_hessian(level11, t, cfg)
+        assert np.abs(diff).max() <= 1e-6
 
 
 def test_moments_lyapunov_oracle(level1, level11, cfg):
