@@ -7,10 +7,10 @@ alphabet compresses to 2*kappa*N edge families.  Irreducibility of the
 shift space is exactly strong connectivity of this graph, and witness
 words certify it constructively.
 
-``TransitionGraph.edges`` is the one table of edge families: the
-transfer operator and the grid cylinder sums of ``thermo`` read it too,
-keying each family by the magnitude a0 = abs(digit) of its
-representative digit, the smallest magnitude in its digit class.
+``smallest_digit`` is the one rule from (residue, sign) to digit class.
+The vertex graph serves the exact layer; ``thermo`` reads the same edge
+families as the digit action, tau_r from the coset table and the class
+of each (residue, sign), without building the graph.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ def _reachability(edges: list[list[tuple[int, int]]]) -> tuple[np.ndarray, int]:
             return R, steps
         R = grown
         steps += 1
-
-
-def strongly_connected_components(edges: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Vertex sets of mutual reachability, one distinct row of R and R^T each."""
-    R, _ = _reachability(edges)
-    return [np.flatnonzero(row).tolist() for row in np.unique(R & R.T, axis=0)]
 
 
 def _bfs_paths(graph: TransitionGraph, source: int) -> tuple[list[int], list[int]]:

@@ -8,12 +8,13 @@ its leading eigenvalue gives the pressure.  The second one iterates
 finite-depth cylinder partition sums directly (exact enumeration with
 per-word hyperbolic traces when the word count is small, otherwise a
 uniform-grid function iteration) and serves as an independent
-cross-check.  The collocation operator and the grid iteration both read
-their edge families from the level's ``shiftspace.TransitionGraph``.
-The vertex graph is bipartite in the sign coordinate, so the operator has
-two nonzero sign blocks, and eigen-data comes from their product, one
-sign block of the squared operator.  Neither block is formed: each is
-applied from its N digit-class blocks by gathering source cosets.
+cross-check.  Both read the digit action of the level: the coset
+permutation tau_r of each residue r, from the coset table, and the digit
+class of each (residue, sign), whose magnitudes both estimators lay out
+alike.  A digit of sign s leaves the sign -s, so the operator has two
+nonzero sign blocks, and eigen-data comes from their product, one sign
+block of the squared operator.  Neither block is formed: each is applied
+from its N digit-class blocks by gathering source cosets.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .contfrac import SignedWord
 from .cosets import CosetTable
 from .homology import HomologyData, build_homology
 from .psl2 import word_to_matrix
-from .shiftspace import TransitionGraph
+from .shiftspace import smallest_digit
 
 
 class BetaOutOfDomain(ValueError):
@@ -122,8 +123,19 @@ class LevelData:
         return self.j_values.shape[1]
 
     @cached_property
-    def graph(self) -> TransitionGraph:
-        return TransitionGraph(self.table)
+    def residue_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge families as (targets, classes), shared and read-only.
+
+        ``targets[e, r]`` is tau_r(e), the coset that a digit of residue r
+        takes coset e to, whatever the digit's sign.  ``classes[k, r]`` is
+        the class index a0 - 1 of the residue-r digits of sign +1 (k = 0)
+        or -1 (k = 1), a0 the smallest magnitude in the class.
+        """
+        N = self.level
+        targets = np.array([self.table.tau_row(r) for r in range(N)], dtype=np.int64).T.copy()
+        classes = np.abs([[smallest_digit(r, s, N) for r in range(N)] for s in (1, -1)]) - 1
+        targets.flags.writeable = classes.flags.writeable = False
+        return targets, classes
 
 
 def build_level_data(N: int) -> LevelData:
@@ -241,12 +253,17 @@ def _zeta_sprime(s: float, q: np.ndarray) -> np.ndarray:
     return (hurwitz_zeta(s + h, q) - hurwitz_zeta(s - h, q)) / (2 * h)
 
 
-def _digit_class(a0: int, N: int, K: int, y: np.ndarray):
-    """Magnitudes a0, a0 + N, ... up to K of one digit class, and the
-    Hurwitz argument q = (a_first + y) / N of the class beyond K."""
-    mags = np.arange(a0, K + 1, N, dtype=float)
-    a_first = mags[-1] + N if mags.size else float(a0)
-    return mags, (a_first + y) / N
+def _class_magnitudes(N: int, K: int):
+    """The digit classes a0 = 1..N as one padded layout.
+
+    Returns (mags, valid, first): ``mags[a0 - 1]`` holds a0, a0 + N, ...
+    in ceil(K / N) columns, ``valid`` marks the magnitudes up to K, and
+    ``first[a0 - 1]`` is the first magnitude beyond K, where the class's
+    Hurwitz tail starts.
+    """
+    mags = np.arange(1.0, N + 1.0)[:, None] + N * np.arange(-(-K // N))
+    valid = mags <= K
+    return mags, valid, mags[:, 0] + N * valid.sum(axis=1)
 
 
 def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.ndarray:
@@ -264,29 +281,23 @@ def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.n
 def _class_geometry(N: int, K: int, m: int):
     """The beta-independent part of the class blocks at (N, K, m).
 
-    Returns (classes, q, d0, d0_2).  ``classes[a0 - 1]`` is None when
-    the class a0 has no magnitude up to K, else (ay, 2 log ay, R) with
-    ay[j, a] = a + y_j over its magnitudes a and R the barycentric rows
-    at 1 / ay; ``q[a0 - 1]`` holds the Hurwitz arguments of its tail, and
-    d0, d0_2 are the first rows of the differentiation matrix and of its
-    square.  Every caller shares the arrays, so they are read-only.
+    Returns (ay, log_weight, R, q, d0, d0_2) over the padded layout of
+    ``_class_magnitudes``: ay[a0 - 1, j, a] = a + y_j, log_weight = 2 log ay,
+    R the barycentric rows at 1 / ay, zero past the class so that padding
+    carries no weight, ``q[a0 - 1]`` the Hurwitz arguments of the class's
+    tail, and d0, d0_2 the first rows of the differentiation matrix and of
+    its square.  Every caller shares the arrays, so they are read-only.
     """
     y = _lobatto_nodes(m)
     weights = _bary_weights(m)
     D = _diff_matrix(y, weights)
-    classes, qs = [], []
-    for a0 in range(1, N + 1):
-        mags, q = _digit_class(a0, N, K, y)
-        qs.append(q)
-        if mags.size:
-            ay = mags[None, :] + y[:, None]          # (npts, na)
-            classes.append((ay, 2.0 * np.log(ay), _bary_rows(1.0 / ay, y, weights)))
-        else:
-            classes.append(None)
-    q, d0, d0_2 = np.array(qs), D[0], (D @ D)[0]
-    for arr in (q, d0, d0_2, *(a for c in classes if c is not None for a in c)):
+    mags, valid, first = _class_magnitudes(N, K)
+    ay = mags[:, None, :] + y[None, :, None]          # (N, npts, ceil(K / N))
+    R = np.where(valid[:, None, :, None], _bary_rows(1.0 / ay, y, weights), 0.0)
+    arrays = (ay, 2.0 * np.log(ay), R, (first[:, None] + y) / N, D[0], (D @ D)[0])
+    for arr in arrays:
         arr.flags.writeable = False
-    return tuple(classes), q, d0, d0_2
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +351,7 @@ class TransferOperator:
 
     Functions live on vertex x node as x = [x+; x-], each half with
     cosets in label order and the nodes of one coset contiguous.  The
-    edge families come from ``level.graph``; the block of an edge
+    edge families come from ``level.residue_action``; the block of an edge
     depends on its digit class only through the smallest magnitude
     a0 = abs(digit), so ``assemble`` builds the N class blocks and
     returns an ``OperatorBlocks`` that applies L from them.  Construction
@@ -363,17 +374,7 @@ class TransferOperator:
         self.level = level
         self.cfg = cfg
         self.nodes = _lobatto_nodes(cfg.collocation_degree)
-        # [k, e, r]: target coset and class index a0 - 1 of the residue-r edge
-        # leaving coset e into sign block k; source vertex 2e + 1 feeds k = 0
-        _, dst, digit = level.graph.edge_arrays
-        dst = dst.reshape(kappa, 2, N)[:, ::-1].transpose(1, 0, 2) // 2
-        cls = np.abs(digit.reshape(kappa, 2, N)[:, ::-1].transpose(1, 0, 2)) - 1
-        if (cls != cls[:, :1]).any():
-            raise AssertionError(f"N={N}: an edge's digit class depends on its source coset")
-        if (dst != dst[0]).any() or (np.sort(dst[0], axis=0) != np.arange(kappa)[:, None]).any():
-            raise AssertionError(f"N={N}: a residue does not permute the cosets alike in both signs")
-        self.residue_class = cls[:, 0]     # (2, N)
-        self.targets = np.ascontiguousarray(dst[0])
+        self.targets, self.residue_class = level.residue_action
         self.sources = np.empty_like(self.targets)
         self.sources[self.targets, np.arange(N)] = np.arange(kappa)[:, None]
 
@@ -381,16 +382,12 @@ class TransferOperator:
         """(N, m+1, m+1): the block of smallest magnitude a0 at index a0 - 1."""
         cfg = self.cfg
         N = self.level.level
-        npts = self.nodes.size
-        classes, q, d0, d0_2 = _class_geometry(N, cfg.digit_cutoff, cfg.collocation_degree)
-        blocks = np.zeros((N, npts, npts))
-        for B, geometry in zip(blocks, classes):
-            if geometry is not None:
-                ay, log_weight, R = geometry
-                W = ay ** (-2.0 * beta)
-                if with_log:
-                    W = W * log_weight
-                np.einsum("ja,jal->jl", W, R, out=B)
+        ay, log_weight, R, q, d0, d0_2 = _class_geometry(N, cfg.digit_cutoff,
+                                                         cfg.collocation_degree)
+        W = ay ** (-2.0 * beta)
+        if with_log:
+            W = W * log_weight
+        blocks = np.einsum("cja,cjal->cjl", W, R)
         if cfg.tail_mode == "zeta-tail":
             # Taylor rows of the interpolant at the branch endpoint 0:
             # f(u) ~ f(0) + u f'(0) + u^2 f''(0) / 2
@@ -441,11 +438,10 @@ def _apply(S: OperatorBlocks, x: np.ndarray) -> np.ndarray:
 
 
 def pressure_collocation(level: LevelData, t, beta: float,
-                         cfg: NumericsConfig | None = None,
-                         _op: TransferOperator | None = None) -> PressureEstimate:
+                         cfg: NumericsConfig | None = None) -> PressureEstimate:
     """Pressure as log of the leading collocation eigenvalue."""
     cfg = cfg or NumericsConfig()
-    op = _op or TransferOperator(level, cfg)
+    op = TransferOperator(level, cfg)
     lam, _ = op.leading(op.assemble(t, beta))
     return PressureEstimate(math.log(lam), cfg.provenance("collocation", beta=beta))
 
@@ -558,7 +554,7 @@ def _check_moments(level, t, root, cfg, mean_j):
     fd_op = TransferOperator(level, fd_cfg)
 
     def P_of_beta(bv):
-        return pressure_collocation(level, t, bv, fd_cfg, _op=fd_op).value
+        return math.log(fd_op.leading(fd_op.assemble(t, bv))[0])
 
     def P_of_t(tv):
         # only the coset scalars depend on t: reuse the class blocks at the root
@@ -616,54 +612,55 @@ def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
 def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     """Z_1..Z_n by depth-iterating cylinder sums on a uniform grid.
 
-    The edge families come from ``level.graph``, each keyed by the
-    smallest magnitude a0 = abs(digit) of its digit class.  Tail
-    evaluation happens at the branch endpoint (grid value 0); a zeta
-    tail with a linear interpolant correction is applied when the
-    configuration asks for it.
+    The edge families come from ``level.residue_action`` and the digit
+    classes from ``_class_magnitudes``.  Tail evaluation happens at the
+    branch endpoint (grid value 0); a zeta tail with a linear interpolant
+    correction is applied when the configuration asks for it.
     """
     t = _as_t_vector(level, t)
     N = level.level
-    K = cfg.digit_cutoff
     G = 1025  # uniform grid points
     y = np.linspace(0.0, 1.0, G)
     dy = y[1] - y[0]
     scalars = _coset_scalars(level, t)
 
-    # per smallest-magnitude class: branch weights with interp indices and
-    # fractions, and the zeta-tail coefficients of f(0) and f'(0)
-    per_a0 = {}
-    for a0 in range(1, N + 1):
-        mags, q = _digit_class(a0, N, K, y)
+    # per digit class: branch weights with interp indices and fractions,
+    # and the zeta-tail coefficients of f(0) and f'(0)
+    per_class = []
+    for mags, valid, first in zip(*_class_magnitudes(N, cfg.digit_cutoff)):
         branch = tail = None
-        if mags.size:
-            ay = mags[:, None] + y[None, :]
+        if valid[0]:
+            ay = mags[valid][:, None] + y[None, :]
             pos = 1.0 / ay / dy
             idx = np.minimum(pos.astype(int), G - 2)
             branch = (ay ** (-2.0 * beta), idx, pos - idx)
         if cfg.tail_mode == "zeta-tail":
+            q = (first + y) / N
             tail = (_class_tail(2.0 * beta, N, q), _class_tail(2.0 * beta + 1.0, N, q))
-        per_a0[a0] = (branch, tail)
+        per_class.append((branch, tail))
 
-    edges = level.graph.edges
-    F = np.ones((len(edges), G))
+    targets, classes = (a.tolist() for a in level.residue_action)
+    # F[e, b] on coset e with sign +1 (b = 0) or -1 (b = 1); the digits
+    # leaving it have the other sign, those of sign block k = 1 - b
+    F = np.ones((len(targets), 2, G))
     zs = []
     for _ in range(cfg.cylinder_depth):
         F_new = np.zeros_like(F)
-        for src, row in enumerate(edges):
-            f = F[src]
-            for dst, digit in row:
-                branch, tail = per_a0[abs(digit)]
-                contrib = np.zeros(G)
-                if branch is not None:
-                    W, idx, frac = branch
-                    contrib += (W * (f[idx] * (1 - frac) + f[idx + 1] * frac)).sum(axis=0)
-                if tail is not None:
-                    t0, t1 = tail
-                    contrib += t0 * f[0] + t1 * ((f[1] - f[0]) / dy)
-                F_new[dst] += scalars[src // 2] * contrib
+        for e, row in enumerate(targets):
+            for b, k in ((0, 1), (1, 0)):
+                f = F[e, b]
+                for dst, c in zip(row, classes[k]):
+                    branch, tail = per_class[c]
+                    contrib = np.zeros(G)
+                    if branch is not None:
+                        W, idx, frac = branch
+                        contrib += (W * (f[idx] * (1 - frac) + f[idx + 1] * frac)).sum(axis=0)
+                    if tail is not None:
+                        t0, t1 = tail
+                        contrib += t0 * f[0] + t1 * ((f[1] - f[0]) / dy)
+                    F_new[dst, k] += scalars[e] * contrib
         F = F_new
-        zs.append(float(F[:, 0].sum()))
+        zs.append(float(F[:, :, 0].sum()))
     return zs
 
 

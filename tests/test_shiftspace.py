@@ -14,7 +14,6 @@ from modsym.shiftspace import (
     check_finitely_irreducible,
     is_admissible,
     smallest_digit,
-    strongly_connected_components,
 )
 
 
@@ -73,13 +72,6 @@ def test_edge_digits_realize_transition():
         e = src // 2
         for dst, digit in row:
             assert TransitionGraph.vertex_index(table.tau(digit, e), -1 if digit < 0 else 1) == dst
-
-
-def test_tarjan_on_known_graph():
-    # two 2-cycles joined one-way: components {0,1} and {2,3}
-    edges = [[(1, 0)], [(0, 0), (2, 0)], [(3, 0)], [(2, 0)]]
-    sccs = strongly_connected_components(edges)
-    assert sorted(sorted(c) for c in sccs) == [[0, 1], [2, 3]]
 
 
 def test_irreducible_small_levels():

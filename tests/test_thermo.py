@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 import modsym
 from modsym import build_level_data, thermo
 from modsym.contfrac import SignedWord
+from modsym.shiftspace import TransitionGraph, build_graph
 from modsym.thermo import (
     BetaOutOfDomain,
     BracketFailure,
@@ -38,6 +39,13 @@ def dense(S):
     return np.column_stack([thermo._apply(S, unit) for unit in np.eye(n)])
 
 
+def digit_class(a0, N, K, y):
+    """Magnitudes a0, a0 + N, ... up to K of one digit class, and the
+    Hurwitz argument q = (a_first + y) / N of the class beyond K."""
+    mags = np.arange(a0, K + 1, N, dtype=float)
+    return mags, (a0 + N * mags.size + y) / N
+
+
 def dense_oracle(level, cfg, t, beta, with_log):
     """L on vertex-ordered blocks (vertex (e, +1) is 2e, (e, -1) is 2e+1),
     its class blocks built from scratch and scattered edge by edge."""
@@ -49,7 +57,7 @@ def dense_oracle(level, cfg, t, beta, with_log):
     e0[0] = 1.0
     blocks = {}
     for a0 in range(1, N + 1):
-        mags, q = thermo._digit_class(a0, N, K, y)
+        mags, q = digit_class(a0, N, K, y)
         B = np.zeros((y.size, y.size))
         if mags.size:
             ay = mags[None, :] + y[:, None]
@@ -66,11 +74,55 @@ def dense_oracle(level, cfg, t, beta, with_log):
     n = y.size
     L = np.zeros((2 * level.table.size * n,) * 2)
     scalars = thermo._coset_scalars(level, thermo._as_t_vector(level, t))
-    for src, row in enumerate(level.graph.edges):
+    for src, row in enumerate(build_graph(level.table).edges):
         cols = slice(src * n, (src + 1) * n)
         for dst, digit in row:
             L[dst * n:(dst + 1) * n, cols] += scalars[src // 2] * blocks[abs(digit)]
     return L
+
+
+def grid_oracle(level, t, beta, cfg):
+    """Z_1..Z_n of the grid cylinder iteration, edge by edge over the
+    vertex graph, with F on vertices and each family keyed by a0 = abs(digit)."""
+    t = thermo._as_t_vector(level, t)
+    N, K = level.level, cfg.digit_cutoff
+    G = 1025
+    y = np.linspace(0.0, 1.0, G)
+    dy = y[1] - y[0]
+    scalars = thermo._coset_scalars(level, t)
+    per_a0 = {}
+    for a0 in range(1, N + 1):
+        mags, q = digit_class(a0, N, K, y)
+        branch = tail = None
+        if mags.size:
+            ay = mags[:, None] + y[None, :]
+            pos = 1.0 / ay / dy
+            idx = np.minimum(pos.astype(int), G - 2)
+            branch = (ay ** (-2.0 * beta), idx, pos - idx)
+        if cfg.tail_mode == "zeta-tail":
+            tail = (thermo._class_tail(2.0 * beta, N, q),
+                    thermo._class_tail(2.0 * beta + 1.0, N, q))
+        per_a0[a0] = (branch, tail)
+    edges = build_graph(level.table).edges
+    F = np.ones((len(edges), G))
+    zs = []
+    for _ in range(cfg.cylinder_depth):
+        F_new = np.zeros_like(F)
+        for src, row in enumerate(edges):
+            f = F[src]
+            for dst, digit in row:
+                branch, tail = per_a0[abs(digit)]
+                contrib = np.zeros(G)
+                if branch is not None:
+                    W, idx, frac = branch
+                    contrib += (W * (f[idx] * (1 - frac) + f[idx + 1] * frac)).sum(axis=0)
+                if tail is not None:
+                    t0, t1 = tail
+                    contrib += t0 * f[0] + t1 * ((f[1] - f[0]) / dy)
+                F_new[dst] += scalars[src // 2] * contrib
+        F = F_new
+        zs.append(float(F[:, 0].sum()))
+    return zs
 
 
 def oracle_pm(level, cfg, t, beta, with_log):
@@ -180,11 +232,56 @@ def test_edge_classes_partition_the_digits(level1, cfg):
         level = build_level_data(N)
         L = dense(TransferOperator(level, cfg).assemble(np.zeros(level.two_g), 1.0))
         num_v = L.shape[0] // n
-        assert num_v == level.graph.num_vertices
+        assert num_v == build_graph(level.table).num_vertices
         for v in range(num_v):
             out = L[:, v * n:(v + 1) * n].reshape(num_v, n, n).sum(axis=0)
             expect = ref_blocks[v // level.table.size]
             assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max(), (N, v)
+
+
+@pytest.mark.parametrize("N", [*range(1, 31), 60, 97])
+def test_residue_action_matches_graph_edges(N):
+    """The digit action is the vertex graph's edge table: the residue-r
+    family leaving (e, -s) ends at coset tau_r(e) with the sign s of its
+    digit, in the class abs(digit) - 1, for every e, s and r; each residue
+    permutes the cosets."""
+    level = _level(N)
+    targets, classes = level.residue_action
+    kappa = level.table.size
+    assert targets.shape == (kappa, N) and classes.shape == (2, N)
+    assert (np.sort(targets, axis=0) == np.arange(kappa)[:, None]).all()
+    edges = build_graph(level.table).edges
+    for e in range(kappa):
+        for k, sign in ((0, 1), (1, -1)):
+            row = edges[TransitionGraph.vertex_index(e, -sign)]
+            assert [dst for dst, _ in row] == [2 * tau + k for tau in targets[e]]
+            assert [abs(digit) - 1 for _, digit in row] == classes[k].tolist()
+
+
+def test_thermo_runs_without_vertex_graph(monkeypatch):
+    """Neither pressure estimator builds the vertex graph."""
+    def refuse(self):
+        raise AssertionError("thermo built a TransitionGraph")
+
+    monkeypatch.setattr(TransitionGraph, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        build_graph(_level(11).table)
+    level = build_level_data(11)
+    assert abs(gibbs_moments(level, [0.02, -0.01]).beta - 1.0) < 0.01
+    cfg = NumericsConfig(digit_cutoff=20, cylinder_depth=3)
+    assert pressure_cylinder(level, [0.02, -0.01], 1.1, cfg, mode="grid").value < 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 11])
+@pytest.mark.parametrize("tail", ["zeta-tail", "truncate"])
+def test_grid_sums_equal_edge_oracle(N, tail):
+    """The grid partition sums over the digit action are the edge-by-edge
+    sums over the vertex graph, bit for bit: every sum adds in the same order."""
+    level = _level(N)
+    t = np.linspace(-0.07, 0.05, level.two_g)
+    for K, depth in ((40, 4), (7, 3)):
+        cfg = NumericsConfig(digit_cutoff=K, cylinder_depth=depth, tail_mode=tail)
+        assert thermo._grid_partition_sums(level, t, 1.1, cfg) == grid_oracle(level, t, 1.1, cfg)
 
 
 @pytest.mark.parametrize("N", [1, 2, 11])
@@ -277,10 +374,9 @@ def test_level_210_pressure_equals_gauss_pressure(level1, cfg):
     L_log would take 6.6 GB, the class blocks and gather buffer take 26 MB."""
     level = build_level_data(210)
     assert level.table.size == 576
-    op = TransferOperator(level, cfg)
     for beta in (0.8, 1.3):
         gauss = pressure_collocation(level1, [], beta, cfg).value
-        assert abs(pressure_collocation(level, [], beta, cfg, _op=op).value - gauss) <= 1e-9
+        assert abs(pressure_collocation(level, [], beta, cfg).value - gauss) <= 1e-9
 
 
 def test_discretization_stability(level11):
@@ -329,8 +425,7 @@ def test_solve_beta_residual(level11, cfg):
 
 def brent_root(level, t, cfg):
     """beta_G(t) by bracketed Brent iteration on the collocation pressure."""
-    op = TransferOperator(level, cfg)
-    return brentq(lambda beta: pressure_collocation(level, t, beta, cfg, _op=op).value,
+    return brentq(lambda beta: pressure_collocation(level, t, beta, cfg).value,
                   0.8, 1.3, xtol=min(cfg.tolerance, 1e-9), rtol=8.9e-16)
 
 
@@ -369,8 +464,7 @@ def test_bracket_failure_below_beta_min(level1):
 def test_pressure_decreasing_and_convex_in_beta(level11, cfg, t):
     """P(t, .) is strictly decreasing and convex on [0.7, 2], the two facts
     that make the Newton iterates for beta_G climb monotonically to the root."""
-    op = TransferOperator(level11, cfg)
-    P = np.array([pressure_collocation(level11, t, beta, cfg, _op=op).value
+    P = np.array([pressure_collocation(level11, t, beta, cfg).value
                   for beta in np.linspace(0.7, 2.0, 27)])
     assert (np.diff(P) < 0).all()
     assert np.diff(P, 2).min() >= -1e-9
