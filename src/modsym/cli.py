@@ -174,7 +174,7 @@ def _cmd_encode(args):
     table = CosetTable(args.level)
     x = _cf_input(args)
     start = args.start if args.start is not None else table.identity_label()
-    seq = encode_orbit(table, x, start, args.depth or 10)
+    seq = encode_orbit(table, x, start, args.depth)
     return {
         "input": x.to_json_dict(),
         "entries": [[d, e] for d, e in seq.entries],
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include one witness word per vertex pair")
     sub.add_parser("homology", parents=[common])
 
-    p = sub.add_parser("encode", parents=[common, numerics])
+    p = sub.add_parser("encode", parents=[common])
+    p.add_argument("--depth", type=int, default=10, metavar="n", help="orbit steps to encode")
     p.add_argument("--rational", default=None, metavar="P/Q")
     p.add_argument("--sign", type=int, default=1, choices=(1, -1))
     p.add_argument("--preperiod", default=None, help="comma-separated digits")
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None,
                    help="invert for this alpha instead of sweeping t")
 
-    p = sub.add_parser("periodic-symbol", parents=[common, numerics])
+    p = sub.add_parser("periodic-symbol", parents=[common])
     p.add_argument("--digits", required=True, help="comma-separated signed digits")
     p.add_argument("--start", type=int, default=None, metavar="E")
     return parser

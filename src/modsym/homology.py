@@ -1,4 +1,4 @@
-"""Exact rational homology of the level-N modular curve via coset symbols.
+"""Exact homology of the level-N modular curve via coset symbols.
 
 One generator per coset label, subject to the classical two-term
 (x + x.S = 0) and three-term (x + x.(ST) + x.(ST)^2 = 0) relations; the
@@ -11,14 +11,13 @@ Both matrices are oriented incidence matrices of graphs: the relations
 of the trivalent Farey quotient graph (orbits as vertices, labels as
 edges) and the boundary map of a graph on the cusps (Kulkarni, Amer. J.
 Math. 113, 1991).  So each reduction is a greedy spanning forest, with
-no row reduction, and every coordinate is -1, 0 or 1, kept as a
-Fraction.
+no row reduction, and every coordinate is the int -1, 0 or 1.
+``classes_json`` writes each one as the fraction [n, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cosets import CosetTable
 from .psl2 import S, T
@@ -100,10 +99,10 @@ def _spanning_forest(
     return tree, cycles
 
 
-def _dense(cycle: dict[int, int], size: int) -> list[Fraction]:
-    vec = [Fraction(0)] * size
+def _dense(cycle: dict[int, int], size: int) -> list[int]:
+    vec = [0] * size
     for i, sign in cycle.items():
-        vec[i] = Fraction(sign)
+        vec[i] = sign
     return vec
 
 
@@ -115,13 +114,13 @@ class RelativePresentation:
     pivots: list[int]
     free_cols: list[int]
     # expressor[g] = coordinates of generator g in the free-column basis
-    expressor: list[list[Fraction]]
+    expressor: list[list[int]]
 
     @property
     def dimension(self) -> int:
         return len(self.free_cols)
 
-    def class_of(self, e: int) -> list[Fraction]:
+    def class_of(self, e: int) -> list[int]:
         return self.expressor[e]
 
 
@@ -210,14 +209,14 @@ class CuspidalSpace:
     table: CosetTable
     presentation: RelativePresentation
     cusps: CuspOrbitMap
-    kernel_basis: list[list[Fraction]]
+    kernel_basis: list[list[int]]
     projector_cols: list[int]
 
     @property
     def dimension(self) -> int:
         return len(self.projector_cols)
 
-    def project(self, quotient_coords: list[Fraction]) -> tuple[Fraction, ...]:
+    def project(self, quotient_coords: list[int]) -> tuple[int, ...]:
         return tuple(quotient_coords[c] for c in self.projector_cols)
 
 
@@ -251,15 +250,15 @@ class HomologyData:
     presentation: RelativePresentation
     cusps: CuspOrbitMap
     cuspidal: CuspidalSpace
-    classes: list[tuple[Fraction, ...]]
+    classes: list[tuple[int, ...]]
 
     @property
     def dimension(self) -> int:
         return self.cuspidal.dimension
 
 
-def symbol_class(data: HomologyData, e: int) -> tuple[Fraction, ...]:
-    """Cuspidal class of the coset symbol of e, an exact 2g-vector."""
+def symbol_class(data: HomologyData, e: int) -> tuple[int, ...]:
+    """Cuspidal class of the coset symbol of e, an exact integer 2g-vector."""
     return data.classes[e]
 
 

@@ -13,7 +13,6 @@ finite-orbit partial sums for convergence experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class PeriodicSymbolValue:
     """Limiting symbol of the periodic orbit of a cyclic decorated word."""
 
     word: SymbolSequence
-    numerator: tuple[Fraction, ...]   # exact per-period homology sum
+    numerator: tuple[int, ...]        # exact per-period homology sum
     denominator: float                # per-period expansion sum, 2 log(lambda)
     value: np.ndarray
 
@@ -92,8 +91,7 @@ def spectrum_curve(level: LevelData, t_grid, cfg: NumericsConfig | None = None):
     return points, errors
 
 
-def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
-             max_iter: int = 40) -> SpectrumPoint:
+def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None) -> SpectrumPoint:
     """Spectrum value at a prescribed alpha, by Newton on alpha(t) = alpha.
 
     Since alpha = grad beta_G, the Jacobian of alpha(t) is the Hessian of
@@ -102,6 +100,7 @@ def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None,
     """
     tol = 1e-6
     t_bound = 25.0
+    max_iter = 40
     cfg = cfg or NumericsConfig()
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (level.two_g,):
@@ -174,13 +173,13 @@ def limiting_symbol_periodic(level: LevelData,
     """
     check_cyclic(level, word)
     dims = level.two_g
-    numer = [Fraction(0)] * dims
+    numer = [0] * dims
     for _, e in word.entries:
         cls = level.homology.classes[e]
         for i in range(dims):
             numer[i] += cls[i]
     denom = potential_I_on_cylinder(word.word())
-    value = np.array([float(c) for c in numer]) / denom
+    value = np.array(numer, dtype=float) / denom
     return PeriodicSymbolValue(word, tuple(numer), denom, value)
 
 
@@ -211,24 +210,24 @@ def birkhoff_partial(level: LevelData, x: CFInput, e1: int, n: int,
     return numer / denom
 
 
-def coset_cycle_word(level: LevelData, e1: int, magnitude: int = 1,
-                     first_sign: int = -1) -> SymbolSequence:
+def coset_cycle_word(level: LevelData, e1: int, magnitude: int = 1) -> SymbolSequence:
     """Shortest cyclic decorated word of constant digit magnitude from e1.
 
-    Follows (e, sign) until the starting state recurs; the period is
-    automatically even because the sign flips every step.
+    Starts with a negative digit and follows (e, sign) until the starting
+    state recurs; the period is automatically even because the sign flips
+    every step.
     """
     if magnitude < 1:
         raise ValueError("digit magnitude must be positive")
     table = level.table
     entries = []
-    e, sign = e1, first_sign
+    e, sign = e1, -1
     while True:
         d = sign * magnitude
         entries.append((d, e))
         e = table.tau(d, e)
         sign = -sign
-        if (e, sign) == (e1, first_sign):
+        if (e, sign) == (e1, -1):
             break
     word = SymbolSequence(tuple(entries))
     check_cyclic(level, word)

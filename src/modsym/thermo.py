@@ -42,7 +42,7 @@ class NoConvergence(RuntimeError):
 
 
 class BracketFailure(RuntimeError):
-    """No sign change of the pressure found on the scanned beta range."""
+    """The pressure stays positive up to BETA_MAX, or the beta root does not settle."""
 
 
 class NonHyperbolic(ValueError):
@@ -54,10 +54,11 @@ class MomentCheckError(RuntimeError):
 
 
 class OperatorTooLarge(MemoryError):
-    """The collocation class blocks would not fit in physical memory."""
+    """The collocation class geometry and blocks would not fit in physical memory."""
 
 
 ENUM_LIMIT = 2_000_000  # word-count bound for exact cylinder enumeration
+BETA_MAX = 8.0  # largest beta the root search steps to
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,12 @@ class NumericsConfig:
     tolerance: float = 1e-8
     cylinder_depth: int = 10         # n: depth of cylinder partition sums
     tail_mode: str = "zeta-tail"     # or "truncate"
-    beta_min: float = 0.52
-    beta_max: float = 8.0
 
     def __post_init__(self):
         if self.digit_cutoff < 1 or self.collocation_degree < 2:
             raise ValueError("cutoff must be >= 1 and degree >= 2")
-        if self.tolerance <= 0 or self.cylinder_depth < 1:
-            raise ValueError("tolerance must be positive and depth >= 1")
+        if not 0 < self.tolerance < math.inf or self.cylinder_depth < 1:
+            raise ValueError("tolerance must be positive and finite, and depth >= 1")
         if self.tail_mode not in ("zeta-tail", "truncate"):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
 
@@ -112,7 +111,7 @@ class LevelData:
 
     table: CosetTable
     homology: HomologyData
-    j_values: np.ndarray  # shape (kappa, 2g), float copies of the exact classes
+    j_values: np.ndarray  # shape (kappa, 2g), float copies of the integer classes
 
     @property
     def level(self) -> int:
@@ -141,9 +140,7 @@ class LevelData:
 def build_level_data(N: int) -> LevelData:
     table = CosetTable(N)
     hom = build_homology(table)
-    j = np.array(
-        [[float(c) for c in vec] for vec in hom.classes], dtype=float
-    ).reshape(table.size, 2 * table.invariants.genus)
+    j = np.array(hom.classes, dtype=float).reshape(table.size, 2 * table.invariants.genus)
     return LevelData(table, hom, j)
 
 
@@ -355,21 +352,27 @@ class TransferOperator:
     depends on its digit class only through the smallest magnitude
     a0 = abs(digit), so ``assemble`` builds the N class blocks and
     returns an ``OperatorBlocks`` that applies L from them.  Construction
-    refuses, with ``OperatorTooLarge``, a level whose class blocks and
-    gather buffer would not fit in physical memory.
+    refuses, with ``OperatorTooLarge``, a level whose class geometry, class
+    blocks and gather buffer would not fit in physical memory.
     """
 
     def __init__(self, level: LevelData, cfg: NumericsConfig):
         npts = cfg.collocation_degree + 1
-        kappa, N = level.table.size, level.level
+        kappa, N, K = level.table.size, level.level, cfg.digit_cutoff
         # class blocks of both sign blocks, plus one kappa x N x (m+1) gather buffer
-        need = 8 * N * npts * (2 * npts + kappa)
+        blocks = 8 * N * npts * (2 * npts + kappa)
+        # peak of _class_geometry: forming R, of N ceil(K/N) (m+1)^2 entries, holds
+        # three float64 temporaries and a bool mask an entry, next to a few arrays
+        # of N ceil(K/N) (m+1) points; 4 floats an entry and 8 a point bound both
+        geometry = 8 * N * -(-K // N) * npts * (4 * npts + 8)
+        need = blocks + geometry
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             n = 2 * kappa * npts
             raise OperatorTooLarge(
-                f"N={N}: L ({n}x{n} float64, applied matrix-free) needs {need} bytes "
-                f"for its class blocks and gather buffer, physical memory is {have} bytes"
+                f"N={N}: L ({n}x{n} float64, applied matrix-free) needs {need} bytes, "
+                f"{blocks} for its class blocks and gather buffer and {geometry} for "
+                f"the class geometry at K={K}, physical memory is {have} bytes"
             )
         self.level = level
         self.cfg = cfg
@@ -499,13 +502,13 @@ def _root(op: TransferOperator, t: np.ndarray) -> _PerronPair:
 
     P is convex and decreasing in beta, and P(t, 1) >= P(0, 1) = 0 by
     convexity in t with mean_j(0) = 0, so the iterates climb to the root.
-    Steps are kept inside [beta_min, beta_max]; ``BracketFailure`` when
-    the root lies beyond either end.
+    Steps stop at ``BETA_MAX``; ``BracketFailure`` when the root lies
+    beyond it.
     """
     cfg = op.cfg
     xtol = min(cfg.tolerance, 1e-9)
     ptol = 10 * max(cfg.tolerance, 1e-12)
-    beta = min(max(1.0, cfg.beta_min), cfg.beta_max)
+    beta = 1.0
     evaluated: dict[float, float] = {}
     for _ in range(100):
         pair = _PerronPair.at(op, t, beta)
@@ -513,11 +516,9 @@ def _root(op: TransferOperator, t: np.ndarray) -> _PerronPair:
         step = P / pair.mean_i
         if abs(step) <= xtol and abs(P) <= ptol:
             return pair
-        if step > 0 and beta >= cfg.beta_max:
+        if step > 0 and beta >= BETA_MAX:
             raise BracketFailure(f"no negative pressure up to beta={beta}: {evaluated}")
-        if step < 0 and beta <= cfg.beta_min:
-            raise BracketFailure(f"no positive pressure down to beta={beta}: {evaluated}")
-        beta = min(max(beta + step, cfg.beta_min), cfg.beta_max)
+        beta = min(beta + step, BETA_MAX)
     raise BracketFailure(f"residual {P} too large at beta={pair.beta}")
 
 
@@ -665,32 +666,24 @@ def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
 
 
 def pressure_cylinder(level: LevelData, t, beta: float,
-                      cfg: NumericsConfig | None = None,
-                      mode: str = "auto") -> PressureEstimate:
+                      cfg: NumericsConfig | None = None) -> PressureEstimate:
     """Finite-depth cylinder-sum estimate of the pressure.
 
     The reported value is the quotient estimate log(Z_n / Z_{n-1}),
     which agrees with (1/n) log Z_n at depth 1 and converges to the
     same limit without the subexponential prefactor; the raw quantity
     is recorded in the provenance.  Exact per-word enumeration is used
-    when the admissible word count fits the configured limit, otherwise
+    when the admissible word count is at most ``ENUM_LIMIT``, otherwise
     the grid iteration takes over.
     """
     cfg = cfg or NumericsConfig()
     if beta <= 0.5:
         raise BetaOutOfDomain(f"beta must exceed 1/2, got {beta}")
     n = cfg.cylinder_depth
-    word_count = 2 * level.table.size * cfg.digit_cutoff ** n
-    if mode == "auto":
-        mode = "enumerate" if word_count <= ENUM_LIMIT else "grid"
-    if mode == "enumerate":
-        if word_count > 50 * ENUM_LIMIT:
-            raise ValueError(f"enumeration of ~{word_count} words refused")
-        zs = _enumerate_partition_sums(level, t, beta, cfg)
-    elif mode == "grid":
-        zs = _grid_partition_sums(level, t, beta, cfg)
+    if 2 * level.table.size * cfg.digit_cutoff ** n <= ENUM_LIMIT:
+        mode, zs = "enumerate", _enumerate_partition_sums(level, t, beta, cfg)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        mode, zs = "grid", _grid_partition_sums(level, t, beta, cfg)
     raw = math.log(zs[-1]) / n
     value = math.log(zs[-1]) - (math.log(zs[-2]) if n > 1 else 0.0)
     prov = cfg.provenance("cylinder-" + mode, beta=beta,

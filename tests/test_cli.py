@@ -73,6 +73,10 @@ def test_encode_periodic(capsys):
     )
     assert len(data["entries"]) == 6
     assert data["terminated"] is False
+    data = run_json(
+        capsys, "encode", "--level", "11", "--period", "1,2", "--depth", "0"
+    )
+    assert data["entries"] == []
 
 
 def test_pressure_both(capsys):
@@ -145,7 +149,7 @@ def test_spectrum_wrong_direction_length_exit_1(capsys):
 
 
 def test_spectrum_failing_point_warns_typed_record(capsys):
-    """A grid point whose pressure stays positive up to beta_max is left out
+    """A grid point whose pressure stays positive up to beta = 8 is left out
     of the points and reported on stderr as an {error, detail, t} record;
     stdout is what the grid without that point prints."""
     assert main(["spectrum", "--level", "11", "--grid=0:40:2"]) == 0
@@ -196,6 +200,26 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants"])  # missing --level
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    f"{cmd} {flag}".split()
+    for cmd in ("encode --level 11 --rational 3/7", "periodic-symbol --level 11 --digits=-1,1")
+    for flag in ("--cutoff 5", "--degree 8", "--tol 1e-6", "--tail truncate", "--t 0.1,0")
+] + ["periodic-symbol --level 11 --digits=-1,1 --depth 4".split()])
+def test_numeric_flags_refused_where_unread(capsys, argv):
+    """encode and periodic-symbol read none of the numeric flags, so argparse
+    refuses them (encode has its own --depth, the orbit length)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tolerance_exit_1(capsys, tol):
+    code, out = run(capsys, "moments", "--level", "11", "--tol", tol)
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
 
 
 def test_help_exit_0(capsys):

@@ -181,7 +181,7 @@ def test_legendre_out_of_range(level11):
     # far outside the gradient range of beta_G
     fast = NumericsConfig(digit_cutoff=80, collocation_degree=16)
     with pytest.raises(AlphaOutOfRange):
-        legendre(level11, [50.0, -50.0], fast, max_iter=12)
+        legendre(level11, [50.0, -50.0], fast)
 
 
 def test_legendre_damps_on_moment_check_error(level11, monkeypatch):

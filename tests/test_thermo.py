@@ -149,6 +149,9 @@ def test_config_validation():
         NumericsConfig(tail_mode="nope")
     with pytest.raises(ValueError):
         NumericsConfig(tolerance=-1)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            NumericsConfig(tolerance=tol)
 
 
 def test_hyperbolic_log_eigenvalue():
@@ -269,7 +272,8 @@ def test_thermo_runs_without_vertex_graph(monkeypatch):
     level = build_level_data(11)
     assert abs(gibbs_moments(level, [0.02, -0.01]).beta - 1.0) < 0.01
     cfg = NumericsConfig(digit_cutoff=20, cylinder_depth=3)
-    assert pressure_cylinder(level, [0.02, -0.01], 1.1, cfg, mode="grid").value < 0
+    zs = thermo._grid_partition_sums(level, [0.02, -0.01], 1.1, cfg)
+    assert zs[-1] < zs[-2]
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 11])
@@ -310,14 +314,17 @@ def test_operator_too_large_refused_before_allocating(level1):
 
 def test_operator_guard_counts_sign_blocks(cfg, monkeypatch):
     """The footprint is the class blocks of both sign blocks, 2 N (m+1)^2
-    floats, plus one kappa N (m+1) gather buffer: a memory just above it
-    constructs, one just below refuses.  The handle owns the class blocks
-    and the kappa coset scalars."""
+    floats, one kappa N (m+1) gather buffer and the peak of the class
+    geometry, N ceil(K/N) (m+1) (4 (m+1) + 8) floats: a memory just above
+    it constructs, one just below refuses.  The handle owns the class
+    blocks and the kappa coset scalars."""
     npts = cfg.collocation_degree + 1
     for N in (1, 11):
         level = _level(N)
         kappa = level.table.size
-        need = 8 * (2 * N * npts * npts + kappa * N * npts)
+        columns = -(-cfg.digit_cutoff // N)
+        need = 8 * (2 * N * npts * npts + kappa * N * npts
+                    + N * columns * npts * (4 * npts + 8))
         for have, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
             monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -327,6 +334,18 @@ def test_operator_guard_counts_sign_blocks(cfg, monkeypatch):
             else:
                 with pytest.raises(OperatorTooLarge):
                     TransferOperator(level, cfg)
+
+
+def test_operator_guard_counts_class_geometry(level1, monkeypatch):
+    """At N = 1, m = 24 the class blocks and gather buffer take about 10 kB,
+    but K = 10^6 puts 10^6 (m+1)^2 entries in the barycentric rows: the
+    guard refuses it against 8.4 GB in __init__, before any array exists."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_050_000}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    thermo._class_geometry.cache_clear()
+    with pytest.raises(OperatorTooLarge, match=r"for the class geometry at K=1000000"):
+        TransferOperator(level1, NumericsConfig(digit_cutoff=10**6))
+    assert thermo._class_geometry.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 11])
@@ -453,12 +472,6 @@ def test_newton_root_matches_brent_oracle(level11, tol, monkeypatch):
     assert max(solves) <= 10
 
 
-def test_bracket_failure_below_beta_min(level1):
-    """A root below beta_min is refused with the lower-end message."""
-    with pytest.raises(BracketFailure, match="no positive pressure down to beta=1.2"):
-        solve_beta(level1, [], NumericsConfig(beta_min=1.2))
-
-
 @given(t=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)))
 @settings(max_examples=10, deadline=None)
 def test_pressure_decreasing_and_convex_in_beta(level11, cfg, t):
@@ -546,8 +559,9 @@ def test_cylinder_cross_estimator(level1, cfg):
 
 def test_cylinder_modes_agree(level2):
     cfg = NumericsConfig(digit_cutoff=6, cylinder_depth=6, tail_mode="truncate")
-    e = pressure_cylinder(level2, [], 1.1, cfg, mode="enumerate").value
-    g = pressure_cylinder(level2, [], 1.1, cfg, mode="grid").value
+    e, g = (math.log(zs[-1] / zs[-2]) for zs in (
+        thermo._enumerate_partition_sums(level2, [], 1.1, cfg),
+        thermo._grid_partition_sums(level2, [], 1.1, cfg)))
     assert abs(e - g) < 0.02
 
 
@@ -562,11 +576,10 @@ def test_cylinder_provenance(level1):
     )
 
 
-def test_bracket_failure(level1):
-    # beta range capped below the root: no sign change reachable
-    cfg = NumericsConfig(beta_max=0.9)
-    with pytest.raises(BracketFailure):
-        solve_beta(level1, [], cfg)
+def test_bracket_failure(level11):
+    # the pressure at t = (40, 0) stays positive up to BETA_MAX
+    with pytest.raises(BracketFailure, match="no negative pressure up to beta=8.0"):
+        solve_beta(level11, [40, 0])
 
 
 def test_t_vector_validation(level11, cfg):
