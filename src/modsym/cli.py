@@ -242,6 +242,8 @@ def _cmd_spectrum(args):
     else:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
+        if count < 1:
+            raise ValueError(f"grid count must be at least 1, got {count}")
         if args.direction:
             direction = np.array(_parse_floats(args.direction))
         else:
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     numerics.add_argument("--depth", type=int, default=None, metavar="n")
     numerics.add_argument("--tol", type=float, default=None, metavar="eps")
     numerics.add_argument("--tail", choices=("zeta-tail", "truncate"), default=None)
-    numerics.add_argument("--t", default=None, help="comma-separated t vector")
+    t_vector = argparse.ArgumentParser(add_help=False)
+    t_vector.add_argument("--t", default=None, help="comma-separated t vector")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("cosets", parents=[common])
@@ -332,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", default=None, help="comma-separated digits")
     p.add_argument("--start", type=int, default=None, metavar="E")
 
-    p = sub.add_parser("pressure", parents=[common, numerics])
+    p = sub.add_parser("pressure", parents=[common, numerics, t_vector])
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--method", choices=("collocation", "cylinder", "both"),
                    default="collocation")
 
-    sub.add_parser("beta", parents=[common, numerics])
-    sub.add_parser("moments", parents=[common, numerics])
+    sub.add_parser("beta", parents=[common, numerics, t_vector])
+    sub.add_parser("moments", parents=[common, numerics, t_vector])
 
     p = sub.add_parser("spectrum", parents=[common, numerics])
     p.add_argument("--grid", default="-0.1:0.1:11", metavar="lo:hi:count")

@@ -2,14 +2,17 @@
 
 A coset is named by the canonical form of the bottom row (c : d) of any
 representative matrix; two matrices lie in the same coset exactly when
-their bottom rows agree projectively mod N.  The table also caches the
-digit action tau_k and the classical numeric invariants of the level.
+their bottom rows agree projectively mod N.  The table also holds the
+digit action tau_r, one read-only array, and the level's invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+
+import numpy as np
 
 from .psl2 import MoebiusMatrix
 
@@ -162,7 +165,6 @@ class CosetTable:
             raise AssertionError(
                 f"P1 enumeration size {len(self.reps)} != index {self.invariants.kappa}"
             )
-        self._tau_cache: dict[int, list[int]] = {}
 
     @property
     def size(self) -> int:
@@ -191,23 +193,21 @@ class CosetTable:
             raise ValueError(f"coset label {e} out of range for level {self.level}")
         return e
 
+    @cached_property
+    def action(self) -> np.ndarray:
+        """The digit action as one read-only (kappa, N) array: ``action[e, r]``
+        is tau_r(e), the label of e * S * T^k for every digit k = r mod N."""
+        N = self.level
+        action = np.array([[self.label_of_row(d, (r * d - c) % N) for r in range(N)]
+                           for (c, d) in self.reps], dtype=np.int64)
+        action.flags.writeable = False
+        return action
+
     def tau(self, k: int, e: int) -> int:
         """Coset action of the digit k: label of e * S * T^k."""
         if k == 0:
             raise ZeroDigit("tau is undefined for digit 0")
-        return self.tau_row(k % self.level)[self.check_label(e)]
-
-    def tau_row(self, r: int) -> list[int]:
-        """Permutation of labels induced by any digit congruent to r mod N."""
-        r %= self.level
-        row = self._tau_cache.get(r)
-        if row is None:
-            N = self.level
-            row = [
-                self.label_of_row(d, (r * d - c) % N) for (c, d) in self.reps
-            ]
-            self._tau_cache[r] = row
-        return row
+        return int(self.action[self.check_label(e), k % self.level])
 
     def right_translate(self, e: int, m: MoebiusMatrix) -> int:
         """Label of rep(e) * m, computed on bottom rows mod N."""

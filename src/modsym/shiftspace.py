@@ -7,18 +7,18 @@ alphabet compresses to 2*kappa*N edge families.  Irreducibility of the
 shift space is exactly strong connectivity of this graph, and witness
 words certify it constructively.
 
-``smallest_digit`` is the one rule from (residue, sign) to digit class.
-The vertex graph serves the exact layer; ``thermo`` reads the same edge
-families as the digit action, tau_r from the coset table and the class
-of each (residue, sign), without building the graph.
+``smallest_digit`` is the one rule from (residue, sign) to digit class,
+laid out by residue in ``digit_table``.  The edges, the witness trees and
+``thermo`` (which never builds the graph) all read tau_r(e) from the one
+table of it, ``CosetTable.action``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, product
+from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -34,6 +34,15 @@ def smallest_digit(residue: int, sign: int, N: int) -> int:
     return r - N
 
 
+@lru_cache(maxsize=8)
+def digit_table(N: int) -> np.ndarray:
+    """Read-only (2, N) representative digits: ``digit_table(N)[k, r]`` is
+    ``smallest_digit(r, s, N)`` with s = +1 for k = 0 and -1 for k = 1."""
+    digits = np.array([[smallest_digit(r, s, N) for r in range(N)] for s in (1, -1)])
+    digits.flags.writeable = False
+    return digits
+
+
 @dataclass
 class TransitionGraph:
     """Edge families of the decorated shift, indexed by vertex number.
@@ -41,24 +50,23 @@ class TransitionGraph:
     Vertex numbering: coset e with sign +1 is 2*e, with sign -1 is
     2*e + 1.  ``edges[v]`` lists (target vertex, representative digit)
     in order of the residue r = 0..N-1; the representative is
-    ``smallest_digit(r, sign, N)``.
+    ``smallest_digit(r, sign, N)``, the target from ``table.action``.
     """
 
     table: CosetTable
-    edges: list[list[tuple[int, int]]] = field(default_factory=list)
+    edges: list[list[tuple[int, int]]] = field(init=False)
 
     def __post_init__(self):
-        if self.edges:
-            return
         N = self.table.level
+        action = self.table.action.tolist()
         self.edges = [[] for _ in range(2 * self.table.size)]
         for e in range(self.table.size):
+            row = action[e]
             for r in range(N):
-                row = self.table.tau_row(r)
                 for sign in (1, -1):
                     digit = smallest_digit(r, sign, N)
                     src = self.vertex_index(e, -sign)
-                    dst = self.vertex_index(row[e], sign)
+                    dst = self.vertex_index(row[r], sign)
                     self.edges[src].append((dst, digit))
 
     @staticmethod
@@ -67,29 +75,11 @@ class TransitionGraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.edges)
+        return 2 * self.table.size
 
     @property
     def num_edge_families(self) -> int:
-        return sum(len(row) for row in self.edges)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edge table in compressed rows: ``edges[v]`` is ``targets[i]``
-        with ``digits[i]`` for i in ``indptr[v]:indptr[v + 1]``."""
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in self.edges], out=indptr[1:])
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.edges)),
-                           dtype=np.int64, count=2 * int(indptr[-1]))
-        return indptr, flat[0::2], flat[1::2]
-
-    def without_edge(self, src: int, dst: int) -> "TransitionGraph":
-        """Copy with every edge family src -> dst removed (negative control)."""
-        pruned = [
-            [(t, d) for (t, d) in row if not (v == src and t == dst)]
-            for v, row in enumerate(self.edges)
-        ]
-        return TransitionGraph(self.table, pruned)
+        return self.num_vertices * self.table.level
 
 
 def build_graph(table: CosetTable) -> TransitionGraph:
@@ -123,28 +113,31 @@ def _bfs_paths(graph: TransitionGraph, source: int) -> tuple[list[int], list[int
     tree edge into each vertex.
 
     The source is its own parent; an unreached vertex has parent -1.
-    Grown one level at a time over the graph's edge arrays; a vertex
-    takes the first edge that reaches it in (frontier order, row order),
-    the order a first-in first-out queue would visit them.
+    Grown one level at a time from the coset table's action: edges flip
+    the sign, so a level's vertices 2e + b share b, and the residue-r edge
+    of each ends at 2 tau_r(e) + k with digit ``digit_table(N)[k, r]``,
+    k = 1 - b.  A vertex takes the first edge that reaches it in (frontier,
+    residue) order, the order a first-in first-out queue would visit them.
     """
-    indptr, targets, digits = graph.edge_arrays
+    action, N = graph.table.action, graph.table.level
+    digits = digit_table(N)
     parent = np.full(graph.num_vertices, -1)
     digit = np.zeros(graph.num_vertices, dtype=np.int64)
     parent[source] = source
     frontier = np.array([source])
+    k = 1 - source % 2
     while frontier.size:
-        counts = indptr[frontier + 1] - indptr[frontier]
-        # positions of the frontier's edges, row after row
-        pos = np.repeat(indptr[frontier] - np.cumsum(counts) + counts, counts) \
-            + np.arange(counts.sum())
-        src = np.repeat(frontier, counts)
-        fresh = parent[targets[pos]] < 0
-        pos, src = pos[fresh], src[fresh]
-        # the first edge into each newly reached vertex, in discovery order
-        first = np.sort(np.unique(targets[pos], return_index=True)[1])
-        frontier = targets[pos[first]]
-        parent[frontier] = src[first]
-        digit[frontier] = digits[pos[first]]
+        targets = (2 * action[frontier // 2] + k).ravel()
+        order = np.arange(targets.size)
+        # the first edge into each vertex, kept where the vertex is new
+        first = np.full(graph.num_vertices, targets.size)
+        np.minimum.at(first, targets, order)
+        pos = np.flatnonzero((first[targets] == order) & (parent[targets] < 0))
+        src = frontier[pos // N]
+        frontier = targets[pos]
+        parent[frontier] = src
+        digit[frontier] = digits[k, pos % N]
+        k = 1 - k
     return parent.tolist(), digit.tolist()
 
 
@@ -173,6 +166,7 @@ class WitnessWords(Mapping):
     def _tree(self, src: int) -> tuple[list[int], list[int]]:
         if src not in self._trees:
             parent, digit = _bfs_paths(self.graph, src)
+            # reachability ran on the edge table and the BFS on the action
             if min(parent) < 0:
                 raise AssertionError("reachability said connected but BFS disagreed")
             self._trees[src] = parent, digit

@@ -8,9 +8,9 @@ its leading eigenvalue gives the pressure.  The second one iterates
 finite-depth cylinder partition sums directly (exact enumeration with
 per-word hyperbolic traces when the word count is small, otherwise a
 uniform-grid function iteration) and serves as an independent
-cross-check.  Both read the digit action of the level: the coset
-permutation tau_r of each residue r, from the coset table, and the digit
-class of each (residue, sign), whose magnitudes both estimators lay out
+cross-check.  Both read the digit action of the level, tau_r of each
+residue r from ``CosetTable.action`` and the digit class of each
+(residue, sign) from the digit table, and lay out the class magnitudes
 alike.  A digit of sign s leaves the sign -s, so the operator has two
 nonzero sign blocks, and eigen-data comes from their product, one sign
 block of the squared operator.  Neither block is formed: each is applied
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .contfrac import SignedWord
 from .cosets import CosetTable
 from .homology import HomologyData, build_homology
 from .psl2 import word_to_matrix
-from .shiftspace import smallest_digit
+from .shiftspace import digit_table
 
 
 class BetaOutOfDomain(ValueError):
@@ -54,7 +54,7 @@ class MomentCheckError(RuntimeError):
 
 
 class OperatorTooLarge(MemoryError):
-    """The collocation class geometry and blocks would not fit in physical memory."""
+    """The collocation operator or the cylinder grid would not fit in physical memory."""
 
 
 ENUM_LIMIT = 2_000_000  # word-count bound for exact cylinder enumeration
@@ -121,27 +121,22 @@ class LevelData:
     def two_g(self) -> int:
         return self.j_values.shape[1]
 
-    @cached_property
-    def residue_action(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge families as (targets, classes), shared and read-only.
-
-        ``targets[e, r]`` is tau_r(e), the coset that a digit of residue r
-        takes coset e to, whatever the digit's sign.  ``classes[k, r]`` is
-        the class index a0 - 1 of the residue-r digits of sign +1 (k = 0)
-        or -1 (k = 1), a0 the smallest magnitude in the class.
-        """
-        N = self.level
-        targets = np.array([self.table.tau_row(r) for r in range(N)], dtype=np.int64).T.copy()
-        classes = np.abs([[smallest_digit(r, s, N) for r in range(N)] for s in (1, -1)]) - 1
-        targets.flags.writeable = classes.flags.writeable = False
-        return targets, classes
-
 
 def build_level_data(N: int) -> LevelData:
     table = CosetTable(N)
     hom = build_homology(table)
     j = np.array(hom.classes, dtype=float).reshape(table.size, 2 * table.invariants.genus)
     return LevelData(table, hom, j)
+
+
+def _digit_classes(N: int) -> np.ndarray:
+    """(2, N): class index abs(digit) - 1 of each ``digit_table(N)`` entry."""
+    return np.abs(digit_table(N)) - 1
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the bound of both memory guards."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _as_t_vector(level: LevelData, t) -> np.ndarray:
@@ -348,7 +343,7 @@ class TransferOperator:
 
     Functions live on vertex x node as x = [x+; x-], each half with
     cosets in label order and the nodes of one coset contiguous.  The
-    edge families come from ``level.residue_action``; the block of an edge
+    edge families come from ``level.table.action``; the block of an edge
     depends on its digit class only through the smallest magnitude
     a0 = abs(digit), so ``assemble`` builds the N class blocks and
     returns an ``OperatorBlocks`` that applies L from them.  Construction
@@ -366,7 +361,7 @@ class TransferOperator:
         # of N ceil(K/N) (m+1) points; 4 floats an entry and 8 a point bound both
         geometry = 8 * N * -(-K // N) * npts * (4 * npts + 8)
         need = blocks + geometry
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = _physical_memory()
         if need > have:
             n = 2 * kappa * npts
             raise OperatorTooLarge(
@@ -377,7 +372,7 @@ class TransferOperator:
         self.level = level
         self.cfg = cfg
         self.nodes = _lobatto_nodes(cfg.collocation_degree)
-        self.targets, self.residue_class = level.residue_action
+        self.targets, self.residue_class = level.table.action, _digit_classes(N)
         self.sources = np.empty_like(self.targets)
         self.sources[self.targets, np.arange(N)] = np.arange(kappa)[:, None]
 
@@ -583,10 +578,9 @@ def _check_moments(level, t, root, cfg, mean_j):
 def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     """Z_1..Z_n by explicit word enumeration with periodic-point weights."""
     t = _as_t_vector(level, t)
-    table = level.table
-    K = cfg.digit_cutoff
-    n = cfg.cylinder_depth
-    tJ = level.j_values @ t if level.two_g else np.zeros(table.size)
+    N, K, n = level.level, cfg.digit_cutoff, cfg.cylinder_depth
+    action = level.table.action.tolist()
+    tJ = level.j_values @ t if level.two_g else np.zeros(len(action))
     z = [0.0] * (n + 1)
 
     def weight(matrix, depth, sum_tj):
@@ -596,16 +590,17 @@ def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
         if depth == n:
             return
         a, b, c, d = matrix
+        row = action[e]
         for sign in next_digit_sign_options:
             for mag in range(1, K + 1):
                 k = sign * mag
                 # multiply by S*T^k = [[0,-1],[1,k]]
                 new = (b, -a + k * b, d, -c + k * d)
-                e_next = table.tau(k, e)
+                e_next = row[k % N]
                 z[depth + 1] += weight(new, depth + 1, sum_tj + tJ[e])
                 descend(e_next, (-sign,), new, depth + 1, sum_tj + tJ[e])
 
-    for e in range(table.size):
+    for e in range(len(action)):
         descend(e, (1, -1), (1, 0, 0, 1), 0, 0.0)
     return z[1:]
 
@@ -613,14 +608,20 @@ def _enumerate_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
 def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     """Z_1..Z_n by depth-iterating cylinder sums on a uniform grid.
 
-    The edge families come from ``level.residue_action`` and the digit
+    The edge families come from ``level.table.action`` and the digit
     classes from ``_class_magnitudes``.  Tail evaluation happens at the
     branch endpoint (grid value 0); a zeta tail with a linear interpolant
-    correction is applied when the configuration asks for it.
+    correction is applied when the configuration asks for it.  Refuses,
+    with ``OperatorTooLarge``, a grid that would not fit in physical memory.
     """
     t = _as_t_vector(level, t)
-    N = level.level
+    N, K = level.level, cfg.digit_cutoff
     G = 1025  # uniform grid points
+    # peak: 8 float64 K x G arrays (branch weights and their temporaries), F and F_new
+    need, have = 8 * G * (8 * N * -(-K // N) + 4 * level.table.size), _physical_memory()
+    if need > have:
+        raise OperatorTooLarge(f"N={N}: the cylinder grid ({G} points, digits up to K={K}) "
+                               f"needs {need} bytes, physical memory is {have} bytes")
     y = np.linspace(0.0, 1.0, G)
     dy = y[1] - y[0]
     scalars = _coset_scalars(level, t)
@@ -628,7 +629,7 @@ def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
     # per digit class: branch weights with interp indices and fractions,
     # and the zeta-tail coefficients of f(0) and f'(0)
     per_class = []
-    for mags, valid, first in zip(*_class_magnitudes(N, cfg.digit_cutoff)):
+    for mags, valid, first in zip(*_class_magnitudes(N, K)):
         branch = tail = None
         if valid[0]:
             ay = mags[valid][:, None] + y[None, :]
@@ -640,7 +641,7 @@ def _grid_partition_sums(level: LevelData, t, beta, cfg) -> list[float]:
             tail = (_class_tail(2.0 * beta, N, q), _class_tail(2.0 * beta + 1.0, N, q))
         per_class.append((branch, tail))
 
-    targets, classes = (a.tolist() for a in level.residue_action)
+    targets, classes = level.table.action.tolist(), _digit_classes(N).tolist()
     # F[e, b] on coset e with sign +1 (b = 0) or -1 (b = 1); the digits
     # leaving it have the other sign, those of sign block k = 1 - b
     F = np.ones((len(targets), 2, G))

@@ -148,6 +148,12 @@ def test_spectrum_wrong_direction_length_exit_1(capsys):
         assert json.loads(out)["error"] == "ValueError"
 
 
+def test_spectrum_empty_grid_exit_1(capsys):
+    code, out = run(capsys, "spectrum", "--level", "11", "--grid=0:0.1:0")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "detail": "grid count must be at least 1, got 0"}
+
+
 def test_spectrum_failing_point_warns_typed_record(capsys):
     """A grid point whose pressure stays positive up to beta = 8 is left out
     of the points and reported on stderr as an {error, detail, t} record;
@@ -206,10 +212,12 @@ def test_usage_error_exit_2(capsys):
     f"{cmd} {flag}".split()
     for cmd in ("encode --level 11 --rational 3/7", "periodic-symbol --level 11 --digits=-1,1")
     for flag in ("--cutoff 5", "--degree 8", "--tol 1e-6", "--tail truncate", "--t 0.1,0")
-] + ["periodic-symbol --level 11 --digits=-1,1 --depth 4".split()])
+] + ["periodic-symbol --level 11 --digits=-1,1 --depth 4".split(),
+      "spectrum --level 11 --grid=0.05:0.05:1 --t=5,5".split()])
 def test_numeric_flags_refused_where_unread(capsys, argv):
-    """encode and periodic-symbol read none of the numeric flags, so argparse
-    refuses them (encode has its own --depth, the orbit length)."""
+    """encode and periodic-symbol read none of the numeric flags and spectrum
+    no --t, so argparse refuses them (encode has its own --depth, the orbit
+    length)."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

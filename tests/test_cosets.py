@@ -120,10 +120,16 @@ def test_tau_matches_matrix_action(N, k):
 @given(st.integers(min_value=1, max_value=30))
 @settings(max_examples=30)
 def test_tau_rows_are_permutations(N):
+    """Each residue column of the action permutes the cosets, and tau reads
+    the column of its digit's residue, for digits of either sign."""
     table = CosetTable(N)
+    action = table.action
+    assert action.shape == (table.size, N) and not action.flags.writeable
     for r in range(N):
-        row = table.tau_row(r)
-        assert sorted(row) == list(range(table.size))
+        assert sorted(action[:, r].tolist()) == list(range(table.size))
+    for k in (1, 2, N, N + 3, -1, -N, -2 * N - 5):
+        for e in range(table.size):
+            assert table.tau(k, e) == action[e, k % N]
 
 
 def test_tau_depends_only_on_residue():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from functools import lru_cache
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import modsym
+from modsym.cli import main
 from modsym import build_level_data, thermo
 from modsym.contfrac import SignedWord
 from modsym.shiftspace import TransitionGraph, build_graph
@@ -249,7 +251,7 @@ def test_residue_action_matches_graph_edges(N):
     digit, in the class abs(digit) - 1, for every e, s and r; each residue
     permutes the cosets."""
     level = _level(N)
-    targets, classes = level.residue_action
+    targets, classes = level.table.action, thermo._digit_classes(N)
     kappa = level.table.size
     assert targets.shape == (kappa, N) and classes.shape == (2, N)
     assert (np.sort(targets, axis=0) == np.arange(kappa)[:, None]).all()
@@ -346,6 +348,33 @@ def test_operator_guard_counts_class_geometry(level1, monkeypatch):
     with pytest.raises(OperatorTooLarge, match=r"for the class geometry at K=1000000"):
         TransferOperator(level1, NumericsConfig(digit_cutoff=10**6))
     assert thermo._class_geometry.cache_info().currsize == 0
+
+
+def test_grid_cylinder_guard_refuses_before_allocating(level1, monkeypatch, capsys):
+    """At N = 1, depth 2 and K = 10^6 the grid iteration would hold about
+    8 x 10^6 x 1025 floats (66 GB): refused against 8.4 GB before any array
+    exists, from pressure_cylinder and from the CLI alike.  The footprint is
+    8 K + 4 kappa float64 rows of 1025 points: a memory of exactly that runs
+    the grid, one byte less refuses."""
+    cfg = NumericsConfig(digit_cutoff=20, cylinder_depth=1)
+    need = 8 * 1025 * (8 * 20 + 4)
+    for have in (need, need - 1):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}.__getitem__)
+        if have == need:
+            assert len(thermo._grid_partition_sums(level1, [], 1.1, cfg)) == 1
+        else:
+            with pytest.raises(OperatorTooLarge):
+                thermo._grid_partition_sums(level1, [], 1.1, cfg)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2_050_000}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(thermo, "_class_magnitudes", None)
+    cfg = NumericsConfig(digit_cutoff=10**6, cylinder_depth=2)
+    with pytest.raises(OperatorTooLarge, match=r"N=1: the cylinder grid \(1025 points, "
+                                               r"digits up to K=1000000\) needs 65600032800 "):
+        pressure_cylinder(level1, [], 1.1, cfg)
+    argv = "pressure --level 1 --beta 1.1 --method cylinder --depth 2 --cutoff 1000000"
+    assert main(argv.split()) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "OperatorTooLarge"
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 11])
