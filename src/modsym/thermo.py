@@ -145,6 +145,8 @@ def _as_t_vector(level: LevelData, t) -> np.ndarray:
         t = np.zeros(level.two_g)
     if t.shape != (level.two_g,):
         raise ValueError(f"t must have length {level.two_g}, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got {t.tolist()}")
     return t
 
 
@@ -237,14 +239,6 @@ def _diff_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return D
 
 
-def _zeta_sprime(s: float, q: np.ndarray) -> np.ndarray:
-    # derivative of the Hurwitz zeta in s, by central difference
-    from scipy.special import zeta as hurwitz_zeta
-
-    h = 1e-6
-    return (hurwitz_zeta(s + h, q) - hurwitz_zeta(s - h, q)) / (2 * h)
-
-
 def _class_magnitudes(N: int, K: int):
     """The digit classes a0 = 1..N as one padded layout.
 
@@ -258,15 +252,62 @@ def _class_magnitudes(N: int, K: int):
     return mags, valid, mags[:, 0] + N * valid.sum(axis=1)
 
 
+# B_2, B_4, ..., B_34 as B_2k / (2k)!: the Euler-Maclaurin coefficients of the
+# Hurwitz tails, the last one bounding the first omitted term
+_EM_COEFFS = [b / math.factorial(2 * k + 2) for k, b in enumerate((
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6,
+    -23749461029 / 870, 8615841276005 / 14322, -7709321041217 / 510, 2577687858367 / 6))]
+
+
+def _hurwitz(s: float, q: np.ndarray, with_log: bool = False):
+    """The sums over n >= 0 of (q + n)^-s and, with ``with_log`` (else None),
+    of log(q + n) (q + n)^-s, elementwise in q > 0, for s > 1.
+
+    Each element sums its terms in order until q + n reaches a shift x0,
+    chosen so that the first omitted Euler-Maclaurin term is 2^-56 of the
+    leading one, and adds the remainder at that x = q + n,
+    x^(1-s) / (s-1) + x^-s / 2 + sum_k B_2k / (2k)! (s)_(2k-1) x^(-s-2k+1),
+    or for the log sums its exact -d/ds.  An element's term count depends on
+    its own q alone, so a batched call equals the element-wise calls bitwise.
+    """
+    p = len(_EM_COEFFS) - 1
+    log_x0 = (math.log(abs(_EM_COEFFS[p])) + math.lgamma(s + 2 * p + 1) - math.lgamma(s)
+              + math.log(s - 1) + 56 * math.log(2)) / (2 * p + 2)
+    count = np.maximum(np.ceil(math.exp(log_x0) - q), 0.0)
+    n = np.arange(count.max(initial=0.0))
+    X = q[..., None] + n
+    terms = np.where(n < count[..., None], X ** -s, 0.0)
+    # cumulative sums add in order of n, so padding zeros change no element
+    direct = terms.cumsum(axis=-1)[..., -1] if n.size else 0.0
+    # remainder coefficients c_k = B_2k / (2k)! (s)_(2k-1) and dc_k / ds
+    c, dc = [], []
+    rising, harmonic = s, 1.0 / s
+    for k, b in enumerate(_EM_COEFFS[:p]):
+        c.append(b * rising)
+        dc.append(b * rising * harmonic)
+        rising *= (s + 2 * k + 1) * (s + 2 * k + 2)
+        harmonic += 1.0 / (s + 2 * k + 1) + 1.0 / (s + 2 * k + 2)
+    x = q + count
+    u, x_s = 1.0 / (x * x), x ** -s
+    poly = np.polyval(c[::-1], u)
+    z = direct + x_s * (x / (s - 1) + 0.5 + poly / x)
+    if not with_log:
+        return z, None
+    log_x = np.log(x)
+    direct = (terms * np.log(X)).cumsum(axis=-1)[..., -1] if n.size else 0.0
+    rem = x * (log_x / (s - 1) + 1.0 / (s - 1) ** 2) + 0.5 * log_x \
+        + (log_x * poly - np.polyval(dc[::-1], u)) / x
+    return z, direct + x_s * rem
+
+
 def _class_tail(s: float, N: int, q: np.ndarray, with_log: bool = False) -> np.ndarray:
     """Sum over a = a_first, a_first + N, ... of (a + y)^{-s}, or its
     -d/dbeta (for s = 2 beta + j) when log weights are requested."""
-    from scipy.special import zeta as hurwitz_zeta
-
+    z, z_log = _hurwitz(s, q, with_log)
     if not with_log:
-        return N ** (-s) * hurwitz_zeta(s, q)
-    return 2 * math.log(N) * N ** (-s) * hurwitz_zeta(s, q) \
-        - 2 * N ** (-s) * _zeta_sprime(s, q)
+        return N ** (-s) * z
+    return 2 * N ** (-s) * (math.log(N) * z + z_log)
 
 
 @lru_cache(maxsize=4)
@@ -397,8 +438,8 @@ class TransferOperator:
 
     def assemble(self, t, beta: float, with_log: bool = False) -> OperatorBlocks:
         """L (or L_log) at (t, beta), as class blocks applied matrix-free."""
-        if beta <= 0.5:
-            raise BetaOutOfDomain(f"beta must exceed 1/2, got {beta}")
+        if not 0.5 < beta < math.inf:  # NaN fails too
+            raise BetaOutOfDomain(f"beta must lie in (1/2, inf), got {beta}")
         t = _as_t_vector(self.level, t)
         blocks = self._class_blocks(beta, with_log)
         npts = self.nodes.size
@@ -678,8 +719,8 @@ def pressure_cylinder(level: LevelData, t, beta: float,
     the grid iteration takes over.
     """
     cfg = cfg or NumericsConfig()
-    if beta <= 0.5:
-        raise BetaOutOfDomain(f"beta must exceed 1/2, got {beta}")
+    if not 0.5 < beta < math.inf:  # NaN fails too
+        raise BetaOutOfDomain(f"beta must lie in (1/2, inf), got {beta}")
     n = cfg.cylinder_depth
     if 2 * level.table.size * cfg.digit_cutoff ** n <= ENUM_LIMIT:
         mode, zs = "enumerate", _enumerate_partition_sums(level, t, beta, cfg)

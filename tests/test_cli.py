@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import modsym
+from modsym import thermo
 from modsym.cli import main
 
 
@@ -170,7 +171,7 @@ def test_spectrum_failing_point_warns_typed_record(capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported by the numerics that call it, not by the CLI."""
+    """Importing the CLI loads no scipy module."""
     code = "import sys, modsym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(modsym.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -179,17 +180,50 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_moments_leave_scipy_optimize_unloaded():
-    """The beta root is found by Newton steps in modsym: computing moments
-    loads scipy.special for the zeta tail, but no root finder."""
-    code = ("import sys\nfrom modsym.cli import main\n"
-            "assert main(['moments', '--level', '11']) == 0\n"
-            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
+def test_thermo_commands_leave_scipy_unloaded():
+    """The beta root is found by Newton steps and the Hurwitz tails by
+    Euler-Maclaurin in modsym, so no thermo command loads any scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(modsym.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True"
+    for argv in (["moments", "--level", "11"],
+                 ["spectrum", "--level", "11", "--grid=0:0.1:2"],
+                 ["pressure", "--level", "2", "--beta", "1.1", "--method", "both",
+                  "--depth", "4", "--cutoff", "40"]):
+        code = ("import sys\nfrom modsym.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
+
+
+@pytest.mark.parametrize("argv, error, detail", [
+    (["beta", "--level", "11", "--t=nan,0"], "ValueError", "t must be finite, got [nan, 0.0]"),
+    (["pressure", "--level", "11", "--beta", "nan"], "BetaOutOfDomain",
+     "beta must lie in (1/2, inf), got nan"),
+    (["pressure", "--level", "11", "--beta", "inf"], "BetaOutOfDomain",
+     "beta must lie in (1/2, inf), got inf"),
+    (["spectrum", "--level", "11", "--grid=0:nan:2"], "ValueError",
+     "t must be finite, got [nan, nan]"),
+], ids=["beta-t-nan", "pressure-beta-nan", "pressure-beta-inf", "spectrum-grid-nan"])
+def test_non_finite_inputs_exit_1(capsys, argv, error, detail):
+    """A non-finite t or beta is refused with a typed record before any
+    power iteration, and a spectrum grid prints no points."""
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": error, "detail": detail}
+
+
+def test_pressure_large_beta(capsys, monkeypatch):
+    """At beta = 50 the tails have orders 100 to 102; the pressure equals the
+    one whose tails are scipy's Hurwitz zeta."""
+    from scipy.special import zeta
+
+    value = run_json(capsys, "pressure", "--level", "11", "--beta", "50")["collocation"]["value"]
+    assert math.isfinite(value)
+    monkeypatch.setattr(thermo, "_class_tail", lambda s, N, q, with_log=False: N ** -s * zeta(s, q))
+    oracle = thermo.pressure_collocation(thermo.build_level_data(11), [], 50.0).value
+    assert math.isclose(value, oracle, rel_tol=1e-13)
 
 
 def test_periodic_symbol_bad_start_exit_1(capsys):

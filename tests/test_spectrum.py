@@ -25,7 +25,7 @@ from modsym.spectrum import (
     spectrum_curve,
     spectrum_point,
 )
-from modsym.thermo import MomentCheckError, NumericsConfig, gibbs_moments
+from modsym.thermo import BracketFailure, MomentCheckError, NumericsConfig, gibbs_moments
 
 
 def rotate(word: SymbolSequence, i: int) -> SymbolSequence:
@@ -144,10 +144,15 @@ def test_spectrum_point_origin(level11, cfg):
 
 
 def test_spectrum_curve_partial_results(level11, cfg):
-    grid = [np.array([0.0, 0.0]), np.array([0.05, 0.0]), np.array([np.nan, 0.0])]
+    """A point whose pressure stays positive up to BETA_MAX is collected as
+    an error and the sweep goes on; a non-finite t is refused outright."""
+    grid = [np.array([0.0, 0.0]), np.array([0.05, 0.0]), np.array([40.0, 0.0])]
     points, errors = spectrum_curve(level11, grid, cfg)
     assert len(points) == 2
     assert list(errors) == [2]
+    assert isinstance(errors[2], BracketFailure)
+    with pytest.raises(ValueError, match="t must be finite"):
+        spectrum_curve(level11, grid[:2] + [np.array([np.nan, 0.0])], cfg)
 
 
 def test_spectrum_curve_raises_on_wrong_length_t(level11, cfg):

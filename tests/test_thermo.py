@@ -3,6 +3,7 @@ import math
 import os
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,11 @@ def test_beta_domain_guard(level1, cfg):
         pressure_collocation(level1, [], 0.4, cfg)
     with pytest.raises(BetaOutOfDomain):
         pressure_cylinder(level1, [], 0.5, cfg)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(BetaOutOfDomain, match=r"\(1/2, inf\)"):
+            pressure_collocation(level1, [], beta, cfg)
+        with pytest.raises(BetaOutOfDomain, match=r"\(1/2, inf\)"):
+            pressure_cylinder(level1, [], beta, cfg)
 
 
 def test_pressure_monotone_in_beta(level11, cfg):
@@ -462,6 +468,57 @@ def test_tail_mode_truncate_converges(level1):
     assert errs[1] < errs[0]
 
 
+@pytest.mark.parametrize("N", [1, 11, 60, 420, 840])
+def test_hurwitz_values_match_scipy(N):
+    """The tails at the Hurwitz arguments of N at K = 200, m = 24 agree
+    with scipy's Hurwitz zeta to 2e-15 relative for s from 1.001 to 20."""
+    from scipy.special import zeta
+
+    q = thermo._class_geometry(N, 200, 24)[3]
+    for s in [1.001, 1.01, 1.1, *np.linspace(1.25, 20.0, 40)]:
+        z, _ = thermo._hurwitz(s, q)
+        assert np.abs(z / zeta(s, q) - 1.0).max() <= 2e-15, s
+
+
+def test_hurwitz_log_sums_match_mpmath():
+    """The log sums are -d/ds of the Hurwitz zeta: 1e-14 relative against
+    mpmath's derivative at 30 digits, where a central difference in s
+    is good to about 1e-10."""
+    q = np.linspace(0.47, 50.0, 34)
+    with mpmath.workdps(30):
+        for s in (1.001, 1.4, 2.02, 3.0, 5.5, 9.0):
+            _, z_log = thermo._hurwitz(s, q, with_log=True)
+            oracle = np.array([float(-mpmath.zeta(s, qi, derivative=1)) for qi in q])
+            assert np.abs(z_log / oracle - 1.0).max() <= 1e-14, s
+
+
+@pytest.mark.parametrize("s", [18.0, 101.0])
+def test_hurwitz_large_order_matches_direct_sum(s):
+    """At large s q mpmath's Hurwitz zeta is off (by 1.1e-9 relative at
+    s = 18, q = 201), so the oracle is the direct sum of 10^4 terms at 30
+    digits, whose omitted rest is below 1e-29 relative here."""
+    q = np.array([0.24, 3.4, 18.3, 201.0])
+    z, z_log = thermo._hurwitz(s, q, with_log=True)
+    with mpmath.workdps(30):
+        for qi, zi, li in zip(q, z, z_log):
+            xs = [mpmath.mpf(qi) + n for n in range(10**4)]
+            terms = [x ** -s for x in xs]
+            assert abs(zi / float(mpmath.fsum(terms)) - 1.0) <= 2e-15
+            oracle = mpmath.fsum(mpmath.log(x) * term for x, term in zip(xs, terms))
+            assert abs(li / float(oracle) - 1.0) <= 1e-14
+
+
+@given(N=st.integers(1, 900), s=st.floats(1.001, 120.0), with_log=st.booleans(),
+       q=st.lists(st.floats(0.01, 300.0), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_class_tail_batch_equals_elementwise(N, s, with_log, q):
+    """A batched tail equals the one-element calls bitwise, as the dense
+    oracle (one class at a time) and the class blocks (all at once) need."""
+    batch = thermo._class_tail(s, N, np.array(q), with_log)
+    single = [thermo._class_tail(s, N, np.array([qi]), with_log)[0] for qi in q]
+    assert batch.tolist() == single
+
+
 def test_solve_beta_origin(level11, cfg):
     assert abs(solve_beta(level11, [0.0, 0.0], cfg) - 1.0) < 1e-3
 
@@ -614,3 +671,8 @@ def test_bracket_failure(level11):
 def test_t_vector_validation(level11, cfg):
     with pytest.raises(ValueError):
         pressure_collocation(level11, [0.1], 1.0, cfg)
+    for t in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            solve_beta(level11, t, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            pressure_cylinder(level11, t, 1.1, NumericsConfig(cylinder_depth=1, digit_cutoff=5))
