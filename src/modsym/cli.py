@@ -135,16 +135,14 @@ def _cmd_invariants(args):
 def _cmd_graph(args):
     table = CosetTable(args.level)
     graph = shiftspace.build_graph(table)
-    edges = [
-        [src, dst, digit]
-        for src, row in enumerate(graph.edges)
-        for dst, digit in row
-    ]
+    V, N = graph.num_vertices, table.level
+    digits = shiftspace.digit_table(N)[1 - np.arange(V) % 2]
+    edges = np.stack([np.arange(V).repeat(N), graph.successors().ravel(), digits.ravel()], 1)
     return {
         "N": args.level,
         "vertices": graph.num_vertices,
         "edgeFamilies": graph.num_edge_families,
-        "edges": edges,
+        "edges": edges.tolist(),
     }, None
 
 

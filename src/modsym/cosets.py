@@ -193,13 +193,17 @@ class CosetTable:
             raise ValueError(f"coset label {e} out of range for level {self.level}")
         return e
 
+    def _tau_row(self, e: int, digits) -> list[int]:
+        """tau_k(e) for each digit k: the label of (d : k*d - c), where (c : d) is rep(e)."""
+        c, d = self.reps[e]
+        return [self.label_of_row(d, k * d - c) for k in digits]
+
     @cached_property
     def action(self) -> np.ndarray:
         """The digit action as one read-only (kappa, N) array: ``action[e, r]``
         is tau_r(e), the label of e * S * T^k for every digit k = r mod N."""
-        N = self.level
-        action = np.array([[self.label_of_row(d, (r * d - c) % N) for r in range(N)]
-                           for (c, d) in self.reps], dtype=np.int64)
+        action = np.array([self._tau_row(e, range(self.level)) for e in range(self.size)],
+                          dtype=np.int64)
         action.flags.writeable = False
         return action
 
@@ -207,7 +211,7 @@ class CosetTable:
         """Coset action of the digit k: label of e * S * T^k."""
         if k == 0:
             raise ZeroDigit("tau is undefined for digit 0")
-        return int(self.action[self.check_label(e), k % self.level])
+        return self._tau_row(self.check_label(e), (k,))[0]
 
     def right_translate(self, e: int, m: MoebiusMatrix) -> int:
         """Label of rep(e) * m, computed on bottom rows mod N."""

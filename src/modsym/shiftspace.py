@@ -8,15 +8,17 @@ shift space is exactly strong connectivity of this graph, and witness
 words certify it constructively.
 
 ``smallest_digit`` is the one rule from (residue, sign) to digit class,
-laid out by residue in ``digit_table``.  The edges, the witness trees and
-``thermo`` (which never builds the graph) all read tau_r(e) from the one
-table of it, ``CosetTable.action``.
+laid out by residue in ``digit_table``.  The graph stores no edges: it is
+read from the one table of tau_r(e), ``CosetTable.action``, and from
+``digit_table(N)``, as are the witness trees and ``thermo`` (which never
+reads the graph).  The ``graph`` command prints the edges as
+[vertex, target, digit] in (vertex, residue) order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -45,33 +47,16 @@ def digit_table(N: int) -> np.ndarray:
 
 @dataclass
 class TransitionGraph:
-    """Edge families of the decorated shift, indexed by vertex number.
+    """Vertex graph of the decorated shift, a view of its coset table.
 
-    Vertex numbering: coset e with sign +1 is 2*e, with sign -1 is
-    2*e + 1.  ``edges[v]`` lists (target vertex, representative digit)
-    in order of the residue r = 0..N-1; the representative is
-    ``smallest_digit(r, sign, N)``, the target from ``table.action``.
+    It stores no edges.  Vertex numbering: coset e with sign +1 is 2*e,
+    with sign -1 is 2*e + 1.  The residue-r edge family out of vertex
+    v = 2e + b ends at 2*tau_r(e) + (1 - b), read from ``table.action``,
+    with digit ``digit_table(N)[1 - b, r]``; the ``graph`` command lists
+    them as [vertex, target, digit] in (vertex, residue) order.
     """
 
     table: CosetTable
-    edges: list[list[tuple[int, int]]] = field(init=False)
-
-    def __post_init__(self):
-        N = self.table.level
-        action = self.table.action.tolist()
-        self.edges = [[] for _ in range(2 * self.table.size)]
-        for e in range(self.table.size):
-            row = action[e]
-            for r in range(N):
-                for sign in (1, -1):
-                    digit = smallest_digit(r, sign, N)
-                    src = self.vertex_index(e, -sign)
-                    dst = self.vertex_index(row[r], sign)
-                    self.edges[src].append((dst, digit))
-
-    @staticmethod
-    def vertex_index(coset: int, sign: int) -> int:
-        return 2 * coset + (sign < 0)
 
     @property
     def num_vertices(self) -> int:
@@ -81,24 +66,33 @@ class TransitionGraph:
     def num_edge_families(self) -> int:
         return self.num_vertices * self.table.level
 
+    def successors(self) -> np.ndarray:
+        """(V, N) edge targets: ``successors()[v, r]`` ends the residue-r edge out of v."""
+        action = self.table.action
+        return np.stack([2 * action + 1, 2 * action], axis=1).reshape(self.num_vertices, -1)
+
 
 def build_graph(table: CosetTable) -> TransitionGraph:
     return TransitionGraph(table)
 
 
-def _reachability(edges: list[list[tuple[int, int]]]) -> tuple[np.ndarray, int]:
-    """Boolean reachability matrix R and the number of steps that grew it.
+def _adjacency(graph: TransitionGraph) -> np.ndarray:
+    """V x V float32 matrix with A[v, w] = 1 when an edge family runs from v to w."""
+    succ = graph.successors()
+    A = np.zeros((succ.shape[0],) * 2, dtype=np.float32)
+    A[np.arange(succ.shape[0])[:, None], succ] = 1.0
+    return A
+
+
+def _reachability(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """Boolean reachability matrix R of the adjacency A and the steps that grew it.
 
     R[v, w] says w is reachable from v in zero or more steps.  Starting
     from the identity, each step adds the one-edge successors of every
     reached set with a BLAS matmul, until R stops growing; when R is all
     true the step count is the diameter, with d(v, v) = 0.
     """
-    n = len(edges)
-    A = np.zeros((n, n), dtype=np.float32)
-    for v, row in enumerate(edges):
-        A[v, [w for w, _ in row]] = 1.0
-    R = np.eye(n, dtype=bool)
+    R = np.eye(A.shape[0], dtype=bool)
     steps = 0
     while True:
         grown = R | (R.astype(np.float32) @ A > 0)
@@ -166,7 +160,8 @@ class WitnessWords(Mapping):
     def _tree(self, src: int) -> tuple[list[int], list[int]]:
         if src not in self._trees:
             parent, digit = _bfs_paths(self.graph, src)
-            # reachability ran on the edge table and the BFS on the action
+            # two independent algorithms: reachability by matmul on the
+            # adjacency, the tree by a level sweep over the action
             if min(parent) < 0:
                 raise AssertionError("reachability said connected but BFS disagreed")
             self._trees[src] = parent, digit
@@ -225,7 +220,7 @@ class IrreducibilityReport:
 
 def check_finitely_irreducible(graph: TransitionGraph) -> IrreducibilityReport:
     """Strong connectivity, diameter and component count from one reachability matrix."""
-    R, steps = _reachability(graph.edges)
+    R, steps = _reachability(_adjacency(graph))
     if R.all():
         return IrreducibilityReport(True, steps, 1, graph)
     return IrreducibilityReport(False, -1, len(np.unique(R & R.T, axis=0)), graph)

@@ -105,6 +105,8 @@ def legendre(level: LevelData, alpha, cfg: NumericsConfig | None = None) -> Spec
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (level.two_g,):
         raise ValueError(f"alpha must have length {level.two_g}")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"alpha must be finite, got {alpha.tolist()}")
     t = np.zeros(level.two_g)
     mom = gibbs_moments(level, t, cfg)
     if level.two_g == 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -38,6 +39,22 @@ def test_graph(capsys):
     data = run_json(capsys, "graph", "--level", "2")
     assert data["vertices"] == 6
     assert data["edgeFamilies"] == 12 == len(data["edges"])
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("graph --level 11", "e5c31b930f638df1fe044e7db35585515ec4256d9558ad8710e2ab8d9f625108"),
+    ("graph --level 37", "aac0b796b2104535792270ae5d568e5cb48a9ab449c09824521d17f2ac851873"),
+    ("irreducible --level 6 --witnesses",
+     "5b2e4cd948f2eae414ccb92573bc36bc2eb55954defb4e641a926c229a6bc64c"),
+    ("irreducible --level 12 --witnesses --format csv",
+     "7708f42ed73c362ac2039ca5a68a73551936894cba1101cb07396f986aea38ed"),
+])
+def test_graph_layer_golden_stdout(capsys, argv, digest):
+    """The edge list, the irreducibility report and its witness words print
+    byte for byte what the per-edge tuple table printed."""
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_irreducible_example(capsys):
@@ -205,10 +222,19 @@ def test_thermo_commands_leave_scipy_unloaded():
      "beta must lie in (1/2, inf), got inf"),
     (["spectrum", "--level", "11", "--grid=0:nan:2"], "ValueError",
      "t must be finite, got [nan, nan]"),
-], ids=["beta-t-nan", "pressure-beta-nan", "pressure-beta-inf", "spectrum-grid-nan"])
-def test_non_finite_inputs_exit_1(capsys, argv, error, detail):
-    """A non-finite t or beta is refused with a typed record before any
-    power iteration, and a spectrum grid prints no points."""
+    (["spectrum", "--level", "11", "--alpha", "nan,0"], "ValueError",
+     "alpha must be finite, got [nan, 0.0]"),
+    (["spectrum", "--level", "11", "--alpha", "inf,0"], "ValueError",
+     "alpha must be finite, got [inf, 0.0]"),
+], ids=["beta-t-nan", "pressure-beta-nan", "pressure-beta-inf", "spectrum-grid-nan",
+        "spectrum-alpha-nan", "spectrum-alpha-inf"])
+def test_non_finite_inputs_exit_1(capsys, monkeypatch, argv, error, detail):
+    """A non-finite t, beta or alpha is refused with a typed record before
+    any power iteration, and a spectrum grid prints no points."""
+    def refuse(self, S):
+        raise AssertionError("a Perron solve ran")
+
+    monkeypatch.setattr(thermo.TransferOperator, "leading", refuse)
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error, "detail": detail}

@@ -132,6 +132,14 @@ def test_tau_rows_are_permutations(N):
             assert table.tau(k, e) == action[e, k % N]
 
 
+def test_tau_builds_no_action():
+    """tau works out its one pair; the (kappa, N) action is built only when read."""
+    table = CosetTable(60)
+    assert table.tau(7, 5) == table.tau(-53, 5)
+    assert "action" not in table.__dict__
+    assert table.tau(7, 5) == table.action[5, 7]
+
+
 def test_tau_depends_only_on_residue():
     table = CosetTable(7)
     for e in range(table.size):

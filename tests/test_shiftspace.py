@@ -1,8 +1,8 @@
-import copy
 from collections import deque
 from fractions import Fraction
 
 import pytest
+from edge_oracle import edge_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,35 +10,86 @@ from modsym import shiftspace
 from modsym.contfrac import CFInput, SymbolSequence, encode_orbit
 from modsym.cosets import CosetTable
 from modsym.shiftspace import (
-    TransitionGraph,
     build_graph,
     check_finitely_irreducible,
+    digit_table,
     is_admissible,
     smallest_digit,
 )
 
 
-def deque_paths(graph, source):
+def deque_paths(edges, source):
     """Shortest edge paths (as (digit, source-coset) letters) from one vertex,
     by a first-in first-out queue over the edge table."""
-    paths = [None] * graph.num_vertices
+    paths = [None] * len(edges)
     paths[source] = []
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for dst, digit in graph.edges[v]:
+        for dst, digit in edges[v]:
             if paths[dst] is None:
                 paths[dst] = paths[v] + [(digit, v // 2)]
                 queue.append(dst)
     return paths
 
 
-def oracle_words(graph):
+def oracle_words(table):
+    edges = edge_table(table)
     return {
         (src, dst): SymbolSequence(tuple(path))
-        for src in range(graph.num_vertices)
-        for dst, path in enumerate(deque_paths(graph, src))
+        for src in range(len(edges))
+        for dst, path in enumerate(deque_paths(edges, src))
     }
+
+
+def scc_count(edges):
+    """Number of strongly connected components, by Kosaraju's two passes."""
+    V = len(edges)
+    seen, finished = [False] * V, []
+    for root in range(V):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            v, out = stack[-1]
+            for w, _ in out:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(edges[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    into = [[] for _ in range(V)]
+    for v, row in enumerate(edges):
+        for w, _ in row:
+            into[w].append(v)
+    component, count = [-1] * V, 0
+    for root in reversed(finished):
+        if component[root] >= 0:
+            continue
+        component[root] = count
+        stack = [root]
+        while stack:
+            for w in into[stack.pop()]:
+                if component[w] < 0:
+                    component[w] = count
+                    stack.append(w)
+        count += 1
+    return count
+
+
+def mask_in_edges(monkeypatch, targets):
+    """Substitute an adjacency with every edge into the target vertices deleted."""
+    adjacency = shiftspace._adjacency
+
+    def masked(graph):
+        A = adjacency(graph)
+        A[:, sorted(targets)] = 0.0
+        return A
+
+    monkeypatch.setattr(shiftspace, "_adjacency", masked)
 
 
 def test_smallest_digit():
@@ -56,9 +107,21 @@ def test_graph_shape():
         assert graph.num_edge_families == 2 * table.size * N
 
 
+@pytest.mark.parametrize("N", [1, 2, 6, 11, 25, 60])
+def test_graph_view_equals_edge_oracle(N):
+    """The successor array and the digit table list the oracle's edges in
+    (vertex, residue) order: row 2e + b has digits digit_table(N)[1 - b]."""
+    table = CosetTable(N)
+    edges = edge_table(table)
+    succ = build_graph(table).successors()
+    assert succ.shape == (2 * table.size, N)
+    for v, row in enumerate(edges):
+        assert succ[v].tolist() == [dst for dst, _ in row]
+        assert digit_table(N)[1 - v % 2].tolist() == [digit for _, digit in row]
+
+
 def test_edges_flip_sign_class():
-    graph = build_graph(CosetTable(6))
-    for src, row in enumerate(graph.edges):
+    for src, row in enumerate(edge_table(CosetTable(6))):
         for dst, digit in row:
             # positive digits leave a (-1)-vertex (odd index) and land on a
             # (+1)-vertex (even index); negative digits the other way round
@@ -68,11 +131,10 @@ def test_edges_flip_sign_class():
 
 def test_edge_digits_realize_transition():
     table = CosetTable(11)
-    graph = build_graph(table)
-    for src, row in enumerate(graph.edges):
+    for src, row in enumerate(edge_table(table)):
         e = src // 2
         for dst, digit in row:
-            assert TransitionGraph.vertex_index(table.tau(digit, e), -1 if digit < 0 else 1) == dst
+            assert 2 * table.tau(digit, e) + (digit < 0) == dst
 
 
 def test_irreducible_small_levels():
@@ -83,18 +145,35 @@ def test_irreducible_small_levels():
         assert len(report.witnesses) == graph.num_vertices**2
 
 
-def test_negative_control_reducible():
+def test_negative_control_reducible(monkeypatch):
     """Deleting all edges into one vertex must break strong connectivity."""
-    graph = build_graph(CosetTable(2))
-    target = 3
-    pruned = copy.copy(graph)
-    pruned.edges = [[(dst, digit) for dst, digit in row if dst != target]
-                    for row in graph.edges]
-    report = check_finitely_irreducible(pruned)
+    mask_in_edges(monkeypatch, {3})
+    report = check_finitely_irreducible(build_graph(CosetTable(2)))
     assert not report.irreducible
     # components {0}, {3} and {1, 2, 4, 5}
     assert report.num_components == 3
     assert report.witnesses == {}
+
+
+@given(st.sampled_from([2, 6, 11]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_masked_graphs_match_scc_oracle(N, data):
+    """With the in-edges of a random vertex set deleted, irreducibility and the
+    component count agree with Kosaraju on the oracle's pruned edge table, and
+    a reducible graph has no witnesses."""
+    table = CosetTable(N)
+    V = 2 * table.size
+    targets = data.draw(st.sets(st.integers(0, V - 1), max_size=V))
+    pruned = [[(dst, digit) for dst, digit in row if dst not in targets]
+              for row in edge_table(table)]
+    expect = scc_count(pruned)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        mask_in_edges(monkeypatch, targets)
+        report = check_finitely_irreducible(build_graph(table))
+    assert report.irreducible == (expect == 1)
+    assert report.num_components == expect
+    if not report.irreducible:
+        assert report.witnesses == {}
 
 
 def test_irreducibility_without_witness_bfs(monkeypatch):
@@ -134,15 +213,15 @@ def test_witness_read_runs_one_bfs(monkeypatch):
     word = report.witnesses[(5, 17)]
     assert calls == [5]
     assert report.witnesses[(5, 400)] is not None and calls == [5]
-    assert word == SymbolSequence(tuple(deque_paths(report.graph, 5)[17]))
+    assert word == SymbolSequence(tuple(deque_paths(edge_table(report.graph.table), 5)[17]))
 
 
 def test_witnesses_equal_eager_build():
     """Keys, order and words match building every source's queue BFS up front."""
     for N in range(1, 21):
-        graph = build_graph(CosetTable(N))
-        eager = oracle_words(graph)
-        witnesses = check_finitely_irreducible(graph).witnesses
+        table = CosetTable(N)
+        eager = oracle_words(table)
+        witnesses = check_finitely_irreducible(build_graph(table)).witnesses
         assert list(witnesses) == list(eager)
         assert dict(witnesses) == eager
 
@@ -157,9 +236,10 @@ def test_witness_trees_with_repeated_targets():
     assert set(table.action[e]) == {table.label_of_row(0, 1)}
     report = check_finitely_irreducible(graph)
     V = graph.num_vertices
+    edges = edge_table(table)
     for src in (2 * e, 2 * e + 1, 0, 1, 301, V - 1):
         tree = [report.witnesses[(src, dst)] for dst in range(V)]
-        assert tree == [SymbolSequence(tuple(path)) for path in deque_paths(graph, src)]
+        assert tree == [SymbolSequence(tuple(path)) for path in deque_paths(edges, src)]
 
 
 def test_witness_assignment_is_kept():
@@ -195,7 +275,7 @@ def test_witness_replay(level11):
             expect_sign = -expect_sign
         if word.entries:
             last_sign = 1 if word.entries[-1][0] > 0 else -1
-            assert TransitionGraph.vertex_index(cur, last_sign) == dst
+            assert 2 * cur + (last_sign < 0) == dst
         else:
             assert src == dst
 

@@ -6,6 +6,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from edge_oracle import edge_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -15,7 +16,7 @@ import modsym
 from modsym.cli import main
 from modsym import build_level_data, thermo
 from modsym.contfrac import SignedWord
-from modsym.shiftspace import TransitionGraph, build_graph
+from modsym.shiftspace import TransitionGraph, build_graph, check_finitely_irreducible
 from modsym.thermo import (
     BetaOutOfDomain,
     BracketFailure,
@@ -77,7 +78,7 @@ def dense_oracle(level, cfg, t, beta, with_log):
     n = y.size
     L = np.zeros((2 * level.table.size * n,) * 2)
     scalars = thermo._coset_scalars(level, thermo._as_t_vector(level, t))
-    for src, row in enumerate(build_graph(level.table).edges):
+    for src, row in enumerate(edge_table(level.table)):
         cols = slice(src * n, (src + 1) * n)
         for dst, digit in row:
             L[dst * n:(dst + 1) * n, cols] += scalars[src // 2] * blocks[abs(digit)]
@@ -106,7 +107,7 @@ def grid_oracle(level, t, beta, cfg):
             tail = (thermo._class_tail(2.0 * beta, N, q),
                     thermo._class_tail(2.0 * beta + 1.0, N, q))
         per_a0[a0] = (branch, tail)
-    edges = build_graph(level.table).edges
+    edges = edge_table(level.table)
     F = np.ones((len(edges), G))
     zs = []
     for _ in range(cfg.cylinder_depth):
@@ -252,31 +253,32 @@ def test_edge_classes_partition_the_digits(level1, cfg):
 
 @pytest.mark.parametrize("N", [*range(1, 31), 60, 97])
 def test_residue_action_matches_graph_edges(N):
-    """The digit action is the vertex graph's edge table: the residue-r
-    family leaving (e, -s) ends at coset tau_r(e) with the sign s of its
-    digit, in the class abs(digit) - 1, for every e, s and r; each residue
-    permutes the cosets."""
+    """The digit action is the oracle's edge table: the residue-r family
+    leaving (e, -s) ends at coset tau_r(e) with the sign s of its digit, in
+    the class abs(digit) - 1, for every e, s and r; each residue permutes
+    the cosets."""
     level = _level(N)
     targets, classes = level.table.action, thermo._digit_classes(N)
     kappa = level.table.size
     assert targets.shape == (kappa, N) and classes.shape == (2, N)
     assert (np.sort(targets, axis=0) == np.arange(kappa)[:, None]).all()
-    edges = build_graph(level.table).edges
+    edges = edge_table(level.table)
     for e in range(kappa):
-        for k, sign in ((0, 1), (1, -1)):
-            row = edges[TransitionGraph.vertex_index(e, -sign)]
+        for k in (0, 1):
+            # digits of sign s = +1 (k = 0) or -1 (k = 1) leave (e, -s), vertex 2e + 1 - k
+            row = edges[2 * e + 1 - k]
             assert [dst for dst, _ in row] == [2 * tau + k for tau in targets[e]]
             assert [abs(digit) - 1 for _, digit in row] == classes[k].tolist()
 
 
 def test_thermo_runs_without_vertex_graph(monkeypatch):
-    """Neither pressure estimator builds the vertex graph."""
+    """Neither pressure estimator reads the vertex graph's successors."""
     def refuse(self):
-        raise AssertionError("thermo built a TransitionGraph")
+        raise AssertionError("thermo read the vertex graph")
 
-    monkeypatch.setattr(TransitionGraph, "__post_init__", refuse)
+    monkeypatch.setattr(TransitionGraph, "successors", refuse)
     with pytest.raises(AssertionError):
-        build_graph(_level(11).table)
+        check_finitely_irreducible(build_graph(_level(11).table))
     level = build_level_data(11)
     assert abs(gibbs_moments(level, [0.02, -0.01]).beta - 1.0) < 0.01
     cfg = NumericsConfig(digit_cutoff=20, cylinder_depth=3)
